@@ -1,7 +1,8 @@
 // Google-benchmark microbenches for the simulator's hot kernels: page-table
 // probes (util::FlatMap vs the std::unordered_map it replaced), LRU cache
 // operations, the Fenwick stack-distance tracker, the idle-interval sweep,
-// Pareto fitting, trace synthesis throughput, single-policy engine replay —
+// Pareto fitting, trace synthesis throughput, the workload-model build (file
+// set + popularity solve) at scenario shape, single-policy engine replay —
 // the perf baseline for the sweep hot loop — the TaskPool scheduler under
 // uniform and straggler task mixes (static vs steal), JPMC trace-file
 // encode/decode and file-backed replay (jpm::tracefile), and scenario-file
@@ -277,6 +278,29 @@ void BM_TraceSynthesis(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_TraceSynthesis);
+
+// One workload-model build: the file set plus the popularity exponent solve,
+// which sweeps pay once per distinct (data set, file scale, popularity,
+// seed) rather than once per point. Arg = file count at the two scenario
+// shapes, 16 GB at file_scale 16 (the fleet points) and at file_scale 4
+// (fig8_popularity); items = files.
+void BM_WorkloadModel(benchmark::State& state) {
+  const auto files = static_cast<std::size_t>(state.range(0));
+  const workload::WorkloadKey key{gib(16), files == 32239 ? 16.0 : 4.0, 0.1,
+                                  1};
+  for (auto _ : state) {
+    const workload::WorkloadModel model(key);
+    if (model.files().file_count() != files) {
+      state.SkipWithError("file count differs from the scenario shape");
+      break;
+    }
+    benchmark::DoNotOptimize(model.mean_request_bytes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(files));
+}
+BENCHMARK(BM_WorkloadModel)->Arg(32239)->Arg(128957)->Unit(
+    benchmark::kMillisecond);
 
 // Materializes a trace once and replays it through a single policy's full
 // pipeline per iteration — exactly one unit of run_sweep's fan-out, and the

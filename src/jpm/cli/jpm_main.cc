@@ -220,7 +220,8 @@ const jpm::sim::PolicySpec& pick_policy(const jpm::spec::Scenario& sc,
 }
 
 // Live-source geometry of the scenario's first workload point, matching
-// what a synthesized trace of the same point would declare.
+// what a synthesized trace of the same point would declare (the file set
+// alone fixes it: no popularity solve).
 jpm::sim::LiveSource live_source(const jpm::spec::Scenario& sc) {
   if (sc.workloads.empty()) {
     throw jpm::spec::SpecError("$.workloads: scenario has no workload points");
@@ -228,7 +229,7 @@ jpm::sim::LiveSource live_source(const jpm::spec::Scenario& sc) {
   const auto& w = sc.workloads.front().workload;
   jpm::sim::LiveSource source;
   source.page_bytes = w.page_bytes;
-  source.total_pages = jpm::workload::TraceGenerator(w).total_pages();
+  source.total_pages = jpm::workload::total_pages(w);
   source.duration_hint_s = w.duration_s;
   return source;
 }

@@ -5,11 +5,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "jpm/telemetry/registry.h"
 #include "jpm/telemetry/telemetry.h"
 #include "jpm/util/check.h"
 #include "jpm/util/parallel.h"
+#include "jpm/workload/shared_models.h"
 
 namespace jpm::cluster {
 
@@ -343,16 +345,26 @@ ShardLayout build_shard_layout(const workload::Trace& trace,
   return out;
 }
 
-ClusterEngine::ClusterEngine(const ClusterConfig& config,
-                             const workload::SynthesizerConfig& workload,
-                             const sim::PolicySpec& policy)
-    : config_(config), workload_(workload), policy_(policy) {
+ClusterEngine::ClusterEngine(
+    const ClusterConfig& config, const workload::SynthesizerConfig& workload,
+    const sim::PolicySpec& policy,
+    std::shared_ptr<const workload::WorkloadModel> model)
+    : config_(config),
+      workload_(workload),
+      policy_(policy),
+      model_(std::move(model)) {
   config.validate();
 }
 
 ClusterMetrics ClusterEngine::run() {
   // Materialize the stream once (SoA lanes) and route request-granularly.
-  const workload::Trace trace = workload::synthesize_trace(workload_);
+  // The model is let go here, before the trace-heavy routing and replay, so
+  // a shared model's last job frees it as early as an unshared one would.
+  std::shared_ptr<const workload::WorkloadModel> model =
+      std::exchange(model_, nullptr);
+  const workload::Trace trace = workload::synthesize_trace(
+      workload_, model != nullptr ? std::move(model)
+                                  : workload::build_model(workload_));
   const std::uint64_t total_pages = trace.total_pages;
 
   // Injected server crashes: outage windows are drawn per server from the
@@ -523,11 +535,21 @@ std::vector<ClusterSweepPoint> run_cluster_sweep(
     }
   }
 
-  // Jobs fan out point-major in roster order; inside each job the cluster's
+  // Job t is (point t / n_policies, policy t % n_policies). Jobs run
+  // model-major — all jobs of the first workload model, then the next — so
+  // the stealing pool's contiguous slices keep each worker on few models and
+  // every model is freed after its last job. Inside each job the cluster's
   // own per-server parallel_for hits the nested-parallelism guard and runs
   // inline, so a fleet sweep is parallel across jobs, serial within one.
+  std::vector<workload::SynthesizerConfig> job_workloads;
+  job_workloads.reserve(n_points * n_policies);
+  for (std::size_t t = 0; t < n_points * n_policies; ++t) {
+    job_workloads.push_back(workloads[t / n_policies].workload);
+  }
+  workload::SharedModels models(std::move(job_workloads));
   sim::OrderedProgress ordered(n_points * n_policies, progress);
-  util::parallel_for(n_points * n_policies, [&](std::size_t t) {
+  util::parallel_for(n_points * n_policies, [&](std::size_t k) {
+    const std::size_t t = models.order()[k];
     const std::size_t i = t / n_policies;
     const std::size_t j = t % n_policies;
     ClusterSweepOutcome& outcome = points[i].outcomes[j];
@@ -535,7 +557,8 @@ std::vector<ClusterSweepPoint> run_cluster_sweep(
         recorders.empty() ? nullptr : recorders[t]);
     const telemetry::SpanTimer span(
         "cluster_point", points[i].label + "/" + roster[j].name);
-    ClusterEngine engine(config, workloads[i].workload, roster[j]);
+    ClusterEngine engine(config, workloads[i].workload, roster[j],
+                         models.acquire(t));
     engine.set_server_telemetry(false);
     outcome.metrics = engine.run();
     if (progress) {

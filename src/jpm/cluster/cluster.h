@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -131,9 +132,12 @@ ShardLayout build_shard_layout(const workload::Trace& trace,
 
 class ClusterEngine {
  public:
+  // `model`, when given, is the workload's shared model (see
+  // workload::WorkloadModel); without one, run() builds its own.
   ClusterEngine(const ClusterConfig& config,
                 const workload::SynthesizerConfig& workload,
-                const sim::PolicySpec& policy);
+                const sim::PolicySpec& policy,
+                std::shared_ptr<const workload::WorkloadModel> model = {});
 
   // Per-server telemetry runs ("server0", ...) register by default. A sweep
   // driver that already owns one telemetry run per (point, policy) job turns
@@ -148,6 +152,7 @@ class ClusterEngine {
   ClusterConfig config_;
   workload::SynthesizerConfig workload_;
   sim::PolicySpec policy_;
+  std::shared_ptr<const workload::WorkloadModel> model_;
   bool server_telemetry_ = true;
 };
 
@@ -164,14 +169,17 @@ struct ClusterSweepPoint {
 };
 
 // Runs every roster policy's ClusterEngine at every workload point. Jobs
-// (point-major, roster order) fan out as stealable tasks; each cluster's
-// inner per-server loop then runs inline on its worker (nested-parallelism
-// guard), so fleet sweeps parallelize across points without oversubscribing.
-// Results sit in preallocated slots and `progress` lines are emitted in job
-// order, so output is bit-identical at any JPM_THREADS / JPM_SCHED. Unlike
-// sim::run_sweep there is no always-on-baseline requirement (cluster
-// metrics are absolute, not normalized). Axis coordinates on the workloads
-// surface as `axis/<name>` gauges on each job's telemetry run.
+// fan out as stealable tasks; each cluster's inner per-server loop then runs
+// inline on its worker (nested-parallelism guard), so fleet sweeps
+// parallelize across points without oversubscribing. Points that share a
+// workload model (workload::SharedModels) share one popularity solve: jobs
+// run model-major and each model is freed after its last job. Results sit in
+// preallocated slots and `progress` lines are emitted in canonical job order
+// (point-major, roster order), so output is bit-identical at any
+// JPM_THREADS / JPM_SCHED. Unlike sim::run_sweep there is no
+// always-on-baseline requirement (cluster metrics are absolute, not
+// normalized). Axis coordinates on the workloads surface as `axis/<name>`
+// gauges on each job's telemetry run.
 std::vector<ClusterSweepPoint> run_cluster_sweep(
     const ClusterConfig& config,
     const std::vector<sim::SweepWorkload>& workloads,

@@ -11,6 +11,7 @@
 #include "jpm/util/check.h"
 #include "jpm/util/hash.h"
 #include "jpm/util/parallel.h"
+#include "jpm/workload/shared_models.h"
 
 namespace jpm::sim {
 namespace {
@@ -75,22 +76,39 @@ std::vector<SweepPoint> run_sweep(
               {"policies", static_cast<double>(n_policies)});
   std::vector<workload::Trace> traces(n_points);
   std::vector<std::unique_ptr<tracefile::TraceReader>> readers(n_points);
-  util::parallel_for(n_points, [&](std::size_t i) {
+  std::vector<std::size_t> mapped, synthesized;
+  std::vector<workload::SynthesizerConfig> synthesized_configs;
+  for (std::size_t i = 0; i < n_points; ++i) {
     if (!workloads[i].trace_path.empty()) {
-      const telemetry::SpanTimer span("map_trace", workloads[i].label);
-      readers[i] =
-          std::make_unique<tracefile::TraceReader>(workloads[i].trace_path);
-      JPM_CHECK_MSG(
-          readers[i]->header().page_bytes == workloads[i].workload.page_bytes,
-          workloads[i].trace_path
-              << ": trace page_bytes (" << readers[i]->header().page_bytes
-              << ") disagrees with the workload section's ("
-              << workloads[i].workload.page_bytes
-              << ") the scenario was validated against");
+      mapped.push_back(i);
     } else {
-      const telemetry::SpanTimer span("synthesize", workloads[i].label);
-      traces[i] = workload::synthesize_trace(workloads[i].workload);
+      synthesized.push_back(i);
+      synthesized_configs.push_back(workloads[i].workload);
     }
+  }
+  util::parallel_for(mapped.size(), [&](std::size_t k) {
+    const std::size_t i = mapped[k];
+    const telemetry::SpanTimer span("map_trace", workloads[i].label);
+    readers[i] =
+        std::make_unique<tracefile::TraceReader>(workloads[i].trace_path);
+    JPM_CHECK_MSG(
+        readers[i]->header().page_bytes == workloads[i].workload.page_bytes,
+        workloads[i].trace_path
+            << ": trace page_bytes (" << readers[i]->header().page_bytes
+            << ") disagrees with the workload section's ("
+            << workloads[i].workload.page_bytes
+            << ") the scenario was validated against");
+  });
+  // Points that differ only in rate, duration or other non-key knobs share
+  // one workload model (one popularity solve), synthesized model-major so
+  // each model is freed after its last point.
+  workload::SharedModels models(std::move(synthesized_configs));
+  util::parallel_for(synthesized.size(), [&](std::size_t k) {
+    const std::size_t job = models.order()[k];
+    const std::size_t i = synthesized[job];
+    const telemetry::SpanTimer span("synthesize", workloads[i].label);
+    traces[i] = workload::synthesize_trace(workloads[i].workload,
+                                           models.acquire(job));
   });
   // Publish file provenance in point order (deterministic, independent of
   // the parallel open above).

@@ -70,12 +70,13 @@ struct SweepWorkload {
 // Runs every policy for every workload; the roster must contain exactly one
 // always-on entry, used as the normalization baseline. Each workload's trace
 // is synthesized (or mmap'd) once and shared read-only by all of its policy
-// runs, which fan out as stealable tasks (JPM_THREADS workers, default
-// hardware concurrency, 1 = serial; JPM_SCHED picks the schedule) — results
-// are bit-identical regardless of worker count or schedule. `progress`
-// (optional) is invoked with a human-readable line per run, serialized and
-// in deterministic job order (point-major, each point's baseline first)
-// regardless of completion order.
+// runs; points sharing a workload model (workload::SharedModels) share its
+// popularity solve too. The runs fan out as stealable tasks (JPM_THREADS
+// workers, default hardware concurrency, 1 = serial; JPM_SCHED picks the
+// schedule) — results are bit-identical regardless of worker count or
+// schedule. `progress` (optional) is invoked with a human-readable line per
+// run, serialized and in deterministic job order (point-major, each point's
+// baseline first) regardless of completion order.
 std::vector<SweepPoint> run_sweep(
     const std::vector<SweepWorkload>& workloads,
     const std::vector<PolicySpec>& roster, const EngineConfig& config,

@@ -9,17 +9,50 @@
 namespace jpm::workload {
 namespace {
 
-// Zipf weights 1/(r+1)^s for ranks r = 0..n-1, normalized to sum 1.
-std::vector<double> zipf_weights(std::size_t n, double exponent) {
-  std::vector<double> w(n);
-  double sum = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    w[r] = 1.0 / std::pow(static_cast<double>(r + 1), exponent);
-    sum += w[r];
+// Zipf weights 1/(r+1)^s for ranks r = 0..n-1 and their sum, computed in one
+// pass into a buffer reused across exponents. Normalization is left to the
+// readers (w[r] / sum): that is the value an eager normalization pass would
+// store, so every derived figure keeps its exact bits while the bisection
+// skips n divisions per pass.
+class ZipfWeights {
+ public:
+  explicit ZipfWeights(std::size_t n) : w_(n) {}
+
+  void compute(double exponent) {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < w_.size(); ++r) {
+      w_[r] = 1.0 / std::pow(static_cast<double>(r + 1), exponent);
+      sum += w_[r];
+    }
+    sum_ = sum;
+    exponent_ = exponent;
   }
-  for (auto& x : w) x /= sum;
-  return w;
-}
+
+  double exponent() const { return exponent_; }
+  // Normalized weight of rank r.
+  double probability(std::size_t r) const { return w_[r] / sum_; }
+
+  // Byte fraction of the most-requested files that together absorb
+  // `hot_share` of request mass.
+  double hot_byte_fraction(const FileSet& files,
+                           const std::vector<std::uint32_t>& rank_order,
+                           double hot_share) const {
+    double mass = 0.0;
+    std::uint64_t bytes = 0;
+    for (std::size_t r = 0; r < rank_order.size(); ++r) {
+      mass += probability(r);
+      bytes += files.file(rank_order[r]).size_bytes;
+      if (mass >= hot_share) break;
+    }
+    return static_cast<double>(bytes) /
+           static_cast<double>(files.total_bytes());
+  }
+
+ private:
+  std::vector<double> w_;
+  double sum_ = 0.0;
+  double exponent_ = -1.0;  // no exponent computed yet
+};
 
 }  // namespace
 
@@ -28,20 +61,15 @@ double hot_byte_fraction(const FileSet& files,
                          double exponent, double hot_share) {
   JPM_CHECK(rank_order.size() == files.file_count());
   JPM_CHECK(hot_share > 0.0 && hot_share < 1.0);
-  const auto w = zipf_weights(rank_order.size(), exponent);
-  double mass = 0.0;
-  std::uint64_t bytes = 0;
-  for (std::size_t r = 0; r < rank_order.size(); ++r) {
-    mass += w[r];
-    bytes += files.file(rank_order[r]).size_bytes;
-    if (mass >= hot_share) break;
-  }
-  return static_cast<double>(bytes) / static_cast<double>(files.total_bytes());
+  ZipfWeights zipf(rank_order.size());
+  zipf.compute(exponent);
+  return zipf.hot_byte_fraction(files, rank_order, hot_share);
 }
 
 PopularityModel::PopularityModel(const FileSet& files,
                                  const PopularityConfig& config) {
   JPM_CHECK(config.popularity > 0.0 && config.popularity <= 1.0);
+  JPM_CHECK(config.hot_share > 0.0 && config.hot_share < 1.0);
   JPM_CHECK(files.file_count() > 0);
   const std::size_t n = files.file_count();
 
@@ -54,24 +82,34 @@ PopularityModel::PopularityModel(const FileSet& files,
   }
 
   // Larger exponent => more concentration => smaller hot-byte fraction.
-  // Binary search the exponent whose hot-byte fraction equals the target.
+  // Binary search the exponent whose hot-byte fraction equals the target:
+  // 60 halvings of [0, 8], cut short once the midpoint rounds onto an
+  // endpoint already evaluated — re-evaluating it would leave both
+  // endpoints, and so every later midpoint, where they are.
+  ZipfWeights zipf(n);
   double lo = 0.0, hi = 8.0;
+  bool lo_evaluated = false, hi_evaluated = false;
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    const double frac = hot_byte_fraction(files, rank_order, mid,
-                                          config.hot_share);
-    if (frac > config.popularity) {
+    if ((mid == lo && lo_evaluated) || (mid == hi && hi_evaluated)) break;
+    zipf.compute(mid);
+    if (zipf.hot_byte_fraction(files, rank_order, config.hot_share) >
+        config.popularity) {
       lo = mid;  // not concentrated enough
+      lo_evaluated = true;
     } else {
       hi = mid;
+      hi_evaluated = true;
     }
   }
   exponent_ = 0.5 * (lo + hi);
-  achieved_ = hot_byte_fraction(files, rank_order, exponent_, config.hot_share);
+  if (zipf.exponent() != exponent_) zipf.compute(exponent_);
+  achieved_ = zipf.hot_byte_fraction(files, rank_order, config.hot_share);
 
-  const auto w = zipf_weights(n, exponent_);
   prob_.assign(n, 0.0);
-  for (std::size_t r = 0; r < n; ++r) prob_[rank_order[r]] = w[r];
+  for (std::size_t r = 0; r < n; ++r) {
+    prob_[rank_order[r]] = zipf.probability(r);
+  }
 
   cdf_.resize(n);
   double cum = 0.0;

@@ -1,11 +1,16 @@
 #include "jpm/workload/synthesizer.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <ostream>
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "jpm/util/check.h"
+#include "jpm/util/json.h"
 
 namespace jpm::workload {
 
@@ -42,6 +47,20 @@ void SynthesizerConfig::validate() const {
 
 namespace {
 
+std::array<std::uint64_t, 4> key_bits(const WorkloadKey& k) {
+  return {k.dataset_bytes, std::bit_cast<std::uint64_t>(k.file_scale),
+          std::bit_cast<std::uint64_t>(k.popularity), k.seed};
+}
+
+FileSetConfig file_set_config(const WorkloadKey& key) {
+  return FileSetConfig{key.dataset_bytes, gib(4), key.file_scale, key.seed};
+}
+
+// Pages spanned by the file set's linear layout.
+std::uint64_t data_set_pages(const FileSet& files, std::uint64_t page_bytes) {
+  return ceil_div(files.total_bytes(), page_bytes);
+}
+
 // A page access waiting to be emitted; requests overlap, so a min-heap on
 // time interleaves them into one nondecreasing stream.
 struct Pending {
@@ -59,12 +78,55 @@ struct PendingLater {
 
 }  // namespace
 
+WorkloadKey WorkloadKey::of(const SynthesizerConfig& config) {
+  return WorkloadKey{config.dataset_bytes, config.file_scale,
+                     config.popularity, config.seed};
+}
+
+bool operator==(const WorkloadKey& a, const WorkloadKey& b) {
+  return key_bits(a) == key_bits(b);
+}
+
+bool operator<(const WorkloadKey& a, const WorkloadKey& b) {
+  return key_bits(a) < key_bits(b);
+}
+
+std::ostream& operator<<(std::ostream& os, const WorkloadKey& key) {
+  return os << "{dataset_bytes=" << key.dataset_bytes
+            << ", file_scale=" << util::json::format_number(key.file_scale)
+            << ", popularity=" << util::json::format_number(key.popularity)
+            << ", seed=" << key.seed << "}";
+}
+
+WorkloadModel::WorkloadModel(const WorkloadKey& key)
+    : key_(key),
+      files_(file_set_config(key)),
+      popularity_(files_, PopularityConfig{key.popularity, 0.9, key.seed}) {
+  for (std::size_t i = 0; i < files_.file_count(); ++i) {
+    mean_request_bytes_ += popularity_.probability(i) *
+                           static_cast<double>(files_.file(i).size_bytes);
+  }
+  JPM_CHECK(mean_request_bytes_ > 0.0);
+}
+
+std::shared_ptr<const WorkloadModel> build_model(
+    const SynthesizerConfig& config) {
+  config.validate();
+  return std::make_shared<const WorkloadModel>(WorkloadKey::of(config));
+}
+
+std::uint64_t total_pages(const SynthesizerConfig& config) {
+  config.validate();
+  return data_set_pages(FileSet(file_set_config(WorkloadKey::of(config))),
+                        config.page_bytes);
+}
+
 struct TraceGenerator::Impl {
   SynthesizerConfig config;
-  FileSet files;
-  PopularityModel popularity;
+  std::shared_ptr<const WorkloadModel> model;
+  const FileSet& files;
+  const PopularityModel& popularity;
   Rng rng;
-  double mean_request_bytes = 0.0;
 
   std::priority_queue<Pending, std::vector<Pending>, PendingLater> heap;
   double next_arrival = 0.0;
@@ -74,17 +136,12 @@ struct TraceGenerator::Impl {
   std::vector<std::uint32_t> recent;
   std::size_t recent_next = 0;
 
-  explicit Impl(const SynthesizerConfig& cfg)
-      : config((cfg.validate(), cfg)),
-        files(FileSetConfig{cfg.dataset_bytes, gib(4), cfg.file_scale,
-                            cfg.seed}),
-        popularity(files, PopularityConfig{cfg.popularity, 0.9, cfg.seed}),
+  Impl(const SynthesizerConfig& cfg, std::shared_ptr<const WorkloadModel> m)
+      : config(cfg),
+        model(std::move(m)),
+        files(model->files()),
+        popularity(model->popularity()),
         rng(cfg.seed * 0x2545f4914f6cdd1dull + 0x9e37) {
-    for (std::size_t i = 0; i < files.file_count(); ++i) {
-      mean_request_bytes += popularity.probability(i) *
-                            static_cast<double>(files.file(i).size_bytes);
-    }
-    JPM_CHECK(mean_request_bytes > 0.0);
     advance_arrival();
   }
 
@@ -100,7 +157,8 @@ struct TraceGenerator::Impl {
 
   void advance_arrival() {
     if (arrivals_done) return;
-    const double mean_gap = mean_request_bytes / instant_rate(next_arrival);
+    const double mean_gap =
+        model->mean_request_bytes() / instant_rate(next_arrival);
     next_arrival += rng.exponential(mean_gap);
     if (next_arrival >= config.duration_s) arrivals_done = true;
   }
@@ -161,7 +219,19 @@ struct TraceGenerator::Impl {
 };
 
 TraceGenerator::TraceGenerator(const SynthesizerConfig& config)
-    : impl_(std::make_unique<Impl>(config)) {}
+    : TraceGenerator(config, build_model(config)) {}
+
+TraceGenerator::TraceGenerator(const SynthesizerConfig& config,
+                               std::shared_ptr<const WorkloadModel> model) {
+  config.validate();
+  JPM_CHECK_MSG(model != nullptr, "TraceGenerator needs a workload model");
+  JPM_CHECK_MSG(model->key() == WorkloadKey::of(config),
+                "workload model built for " << model->key()
+                    << " cannot serve a config keyed "
+                    << WorkloadKey::of(config));
+  impl_ = std::make_unique<Impl>(config, std::move(model));
+}
+
 TraceGenerator::~TraceGenerator() = default;
 TraceGenerator::TraceGenerator(TraceGenerator&&) noexcept = default;
 TraceGenerator& TraceGenerator::operator=(TraceGenerator&&) noexcept = default;
@@ -169,22 +239,17 @@ TraceGenerator& TraceGenerator::operator=(TraceGenerator&&) noexcept = default;
 std::optional<TraceEvent> TraceGenerator::next() { return impl_->next(); }
 
 void TraceGenerator::reset() {
-  auto cfg = impl_->config;
-  impl_ = std::make_unique<Impl>(cfg);
+  impl_ = std::make_unique<Impl>(impl_->config, impl_->model);
 }
 
-const FileSet& TraceGenerator::files() const { return impl_->files; }
-const PopularityModel& TraceGenerator::popularity() const {
-  return impl_->popularity;
+const std::shared_ptr<const WorkloadModel>& TraceGenerator::model() const {
+  return impl_->model;
 }
 const SynthesizerConfig& TraceGenerator::config() const {
   return impl_->config;
 }
-double TraceGenerator::mean_request_bytes() const {
-  return impl_->mean_request_bytes;
-}
 std::uint64_t TraceGenerator::total_pages() const {
-  return ceil_div(impl_->files.total_bytes(), impl_->config.page_bytes);
+  return data_set_pages(impl_->files, impl_->config.page_bytes);
 }
 
 std::vector<TraceEvent> synthesize(const SynthesizerConfig& config) {
@@ -195,7 +260,12 @@ std::vector<TraceEvent> synthesize(const SynthesizerConfig& config) {
 }
 
 Trace synthesize_trace(const SynthesizerConfig& config) {
-  TraceGenerator gen(config);
+  return synthesize_trace(config, build_model(config));
+}
+
+Trace synthesize_trace(const SynthesizerConfig& config,
+                       std::shared_ptr<const WorkloadModel> model) {
+  TraceGenerator gen(config, std::move(model));
   Trace trace;
   trace.page_bytes = config.page_bytes;
   // Matches the generator-driven engine path: total pages from the file set

@@ -10,9 +10,16 @@
 // (sinusoid + per-minute noise) so consecutive 10-minute periods differ the
 // way Fig. 9 of the paper shows; each request reads one whole file (pages in
 // on-disk order, the first flagged `request_start`).
+//
+// The seed-determined part of a workload — the file set, its popularity
+// distribution and the mean request size — is an immutable WorkloadModel,
+// keyed by (data-set size, file scale, popularity, seed). Sweep points that
+// differ only in rate, duration or any other knob share the key, so one
+// model (one popularity solve) can serve all of their generators.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -56,9 +63,61 @@ struct SynthesizerConfig {
   void validate() const;
 };
 
+// The SynthesizerConfig fields a WorkloadModel depends on. Keys compare by
+// bit pattern, so equal keys build bit-identical models.
+struct WorkloadKey {
+  std::uint64_t dataset_bytes = 0;
+  double file_scale = 0.0;
+  double popularity = 0.0;
+  std::uint64_t seed = 0;
+
+  static WorkloadKey of(const SynthesizerConfig& config);
+
+  friend bool operator==(const WorkloadKey& a, const WorkloadKey& b);
+  friend bool operator<(const WorkloadKey& a, const WorkloadKey& b);
+};
+std::ostream& operator<<(std::ostream& os, const WorkloadKey& key);
+
+// The file population, its popularity distribution (the Zipf exponent
+// solve, the costly part) and the popularity-weighted mean request size for
+// one key. Immutable, so any number of generators may read one model
+// concurrently.
+class WorkloadModel {
+ public:
+  explicit WorkloadModel(const WorkloadKey& key);
+
+  const WorkloadKey& key() const { return key_; }
+  const FileSet& files() const { return files_; }
+  const PopularityModel& popularity() const { return popularity_; }
+  // Popularity-weighted expected bytes per request.
+  double mean_request_bytes() const { return mean_request_bytes_; }
+
+ private:
+  WorkloadKey key_;
+  FileSet files_;
+  PopularityModel popularity_;
+  double mean_request_bytes_ = 0.0;
+};
+
+// Validates `config` (std::invalid_argument naming the knob) and builds the
+// model for its key.
+std::shared_ptr<const WorkloadModel> build_model(
+    const SynthesizerConfig& config);
+
+// Total pages in the data set (linear layout). It depends on the file set
+// alone, so no popularity solve runs; equals TraceGenerator::total_pages()
+// for the same config.
+std::uint64_t total_pages(const SynthesizerConfig& config);
+
 class TraceGenerator {
  public:
+  // Builds the config's own model (see build_model).
   explicit TraceGenerator(const SynthesizerConfig& config);
+  // Draws from a shared model, which must have been built for the config's
+  // key (CheckError naming both keys otherwise). The stream is bit-identical
+  // to the one the config-only form produces.
+  TraceGenerator(const SynthesizerConfig& config,
+                 std::shared_ptr<const WorkloadModel> model);
   ~TraceGenerator();
   TraceGenerator(TraceGenerator&&) noexcept;
   TraceGenerator& operator=(TraceGenerator&&) noexcept;
@@ -66,14 +125,13 @@ class TraceGenerator {
   // Next event in nondecreasing time order; nullopt once duration elapsed.
   std::optional<TraceEvent> next();
 
-  // Restarts the stream from t = 0 with the identical pseudo-random sequence.
+  // Restarts the stream from t = 0 with the identical pseudo-random sequence
+  // (keeping the model).
   void reset();
 
-  const FileSet& files() const;
-  const PopularityModel& popularity() const;
+  // The file set, popularity and mean request size the stream draws from.
+  const std::shared_ptr<const WorkloadModel>& model() const;
   const SynthesizerConfig& config() const;
-  // Popularity-weighted expected bytes per request.
-  double mean_request_bytes() const;
   // Total pages in the data set (linear layout).
   std::uint64_t total_pages() const;
 
@@ -89,6 +147,9 @@ std::vector<TraceEvent> synthesize(const SynthesizerConfig& config);
 // derived fields (total_pages, duration) filled from the generator, so the
 // result can be replayed by any number of engine runs — concurrently and
 // without copying — with metrics bit-identical to generator-driven runs.
+// The second form draws from a shared model (see TraceGenerator).
 Trace synthesize_trace(const SynthesizerConfig& config);
+Trace synthesize_trace(const SynthesizerConfig& config,
+                       std::shared_ptr<const WorkloadModel> model);
 
 }  // namespace jpm::workload

@@ -3,10 +3,13 @@
 // straggler-heavy, fault-injected cluster sweep (server crashes, spin-up
 // failures, a dense point next to a sparse one) must produce bit-identical
 // metrics and an identical progress stream at any JPM_THREADS and either
-// JPM_SCHED.
+// JPM_SCHED. Points sharing a workload model must match clusters that built
+// their own, and an invalid point must fail the sweep with its config error.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -256,6 +259,112 @@ TEST(ClusterSweepDeterminismTest, ProgressLinesArriveInJobOrder) {
   EXPECT_EQ(lines[1].rfind("[dense] ", 0), 0u) << lines[1];
   EXPECT_EQ(lines[2].rfind("[sparse] Joint", 0), 0u) << lines[2];
   EXPECT_EQ(lines[3].rfind("[sparse] ", 0), 0u) << lines[3];
+}
+
+// ---- shared workload models -------------------------------------------------
+
+// A 3-rate x 3-seed grid in grid order (first axis outermost): the three
+// rates of each seed share one workload model, interleaved with the others.
+std::vector<sim::SweepWorkload> rate_seed_grid() {
+  std::vector<sim::SweepWorkload> points;
+  for (const double rate : {0.2e6, 1e6, 4e6}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      auto w = sweep_point(rate, seed);
+      w.dataset_bytes = mib(64);
+      w.duration_s = 300.0;
+      std::ostringstream label;
+      label << "byte_rate=" << rate << ",seed=" << seed;
+      points.push_back({label.str(), w, "",
+                        {{"byte_rate", rate},
+                         {"seed", static_cast<double>(seed)}}});
+    }
+  }
+  return points;
+}
+
+ClusterConfig small_cluster() {
+  ClusterConfig c = faulted_cluster();
+  c.server_count = 3;
+  c.engine.fault = fault::FaultPlan{};
+  return c;
+}
+
+TEST(ClusterSweepModelsTest, SharedModelSweepMatchesUnsharedRuns) {
+  const auto grid = rate_seed_grid();
+  const auto roster = sweep_roster();
+  const ClusterConfig config = small_cluster();
+
+  // Reference: one ClusterEngine per (point, policy), each building its own
+  // model, and the progress line the sweep prints for it.
+  std::vector<std::vector<ClusterMetrics>> unshared;
+  std::vector<std::string> want_lines;
+  for (const auto& point : grid) {
+    auto& row = unshared.emplace_back();
+    for (const auto& policy : roster) {
+      ClusterEngine engine(config, point.workload, policy);
+      row.push_back(engine.run());
+      std::ostringstream os;
+      os << "[" << point.label << "] " << policy.name << ": total "
+         << row.back().total_j() / 1e3 << " kJ, balance "
+         << row.back().balance_index();
+      want_lines.push_back(os.str());
+    }
+  }
+
+  for (const char* threads : {"1", "4", "8"}) {
+    for (const char* sched : {"static", "steal"}) {
+      SCOPED_TRACE(std::string("JPM_THREADS=") + threads +
+                   " JPM_SCHED=" + sched);
+      const ScopedEnv t("JPM_THREADS", threads);
+      const ScopedEnv s("JPM_SCHED", sched);
+      std::vector<std::string> lines;
+      const auto points = run_cluster_sweep(
+          config, grid, roster,
+          [&](const std::string& line) { lines.push_back(line); });
+      ASSERT_EQ(points.size(), grid.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        for (std::size_t j = 0; j < roster.size(); ++j) {
+          SCOPED_TRACE(points[i].label + "/" + roster[j].name);
+          expect_metrics_bit_identical(points[i].outcomes[j].metrics,
+                                       unshared[i][j]);
+        }
+      }
+      EXPECT_EQ(lines, want_lines);
+    }
+  }
+}
+
+// An invalid point fails the sweep with the error a generator for its
+// config raises — whether the bad knob is outside the key (another job of
+// the key builds the model, the point's own generator rejects it) or inside
+// it (the build itself fails) — and no job is left waiting on a model.
+TEST(ClusterSweepModelsTest, InvalidPointFailsWithTheConfigError) {
+  auto bad_rate = rate_seed_grid();
+  bad_rate[4].workload.byte_rate = 0.0;  // shares seed 2's model
+  auto bad_dataset = rate_seed_grid();
+  bad_dataset[4].workload.dataset_bytes = 0;  // a key of its own
+  const std::pair<std::vector<sim::SweepWorkload>, std::string> cases[] = {
+      {bad_rate,
+       "invalid SynthesizerConfig: byte_rate must be positive and finite"},
+      {bad_dataset,
+       "invalid SynthesizerConfig: dataset_bytes must be positive"},
+  };
+  for (const auto& [grid, message] : cases) {
+    for (const char* threads : {"1", "4", "8"}) {
+      for (const char* sched : {"static", "steal"}) {
+        SCOPED_TRACE(message + " at JPM_THREADS=" + threads +
+                     " JPM_SCHED=" + sched);
+        const ScopedEnv t("JPM_THREADS", threads);
+        const ScopedEnv s("JPM_SCHED", sched);
+        try {
+          run_cluster_sweep(small_cluster(), grid, sweep_roster());
+          ADD_FAILURE() << "the sweep accepted an invalid point";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_EQ(std::string(e.what()), message);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Determinism suite for the parallel sweep runner: a multi-threaded
 // run_sweep must produce bit-identical RunMetrics to the serial legacy path
-// (JPM_THREADS=1), and the shared-trace engine overload must be
-// bit-identical to the synthesizing one.
+// (JPM_THREADS=1), the shared-trace engine overload must be bit-identical to
+// the synthesizing one, and points sharing a workload model must match runs
+// that built their own.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "jpm/sim/runner.h"
@@ -229,6 +233,114 @@ TEST(SweepDeterminismTest, SharedTraceSupportsRepeatedReplays) {
   const auto first = run_simulation(trace, joint_policy(), e);
   const auto second = run_simulation(trace, joint_policy(), e);
   expect_bit_identical(first, second);
+}
+
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, saved_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string saved_;
+};
+
+// fig8_rate's shape, scaled down: one data set and seed, five rates, so all
+// five points share one workload model.
+std::vector<SweepWorkload> rate_sweep() {
+  std::vector<SweepWorkload> points;
+  for (const double rate : {1e6, 2e6, 4e6, 8e6, 16e6}) {
+    auto w = point_workload(mib(128), 5);
+    w.byte_rate = rate;
+    w.duration_s = 600.0;
+    points.push_back({std::to_string(static_cast<int>(rate / 1e6)) + "MB/s",
+                      w, "", {{"byte_rate", rate}}});
+  }
+  return points;
+}
+
+TEST(SweepDeterminismTest, SharedModelSweepMatchesUnsharedRuns) {
+  const auto workloads = rate_sweep();
+  const std::vector<PolicySpec> roster = {
+      always_on_policy(), joint_policy(),
+      fixed_policy(DiskPolicyKind::kTwoCompetitive, mib(64))};
+  const auto engine = sweep_engine();
+
+  // Reference: every (point, policy) run synthesizing from its own model,
+  // and the progress line the sweep prints for it (baseline first).
+  std::vector<std::vector<RunMetrics>> unshared;
+  std::vector<std::string> want_lines;
+  for (const auto& w : workloads) {
+    auto& row = unshared.emplace_back();
+    for (const auto& policy : roster) {
+      row.push_back(run_simulation(w.workload, policy, engine));
+      std::ostringstream os;
+      os << "[" << w.label << "] " << policy.name << ": total "
+         << row.back().total_j() / 1e3 << " kJ, " << row.back().disk_accesses
+         << " disk accesses";
+      want_lines.push_back(os.str());
+    }
+  }
+
+  for (const char* threads : {"1", "4", "8"}) {
+    for (const char* sched : {"static", "steal"}) {
+      SCOPED_TRACE(std::string("JPM_THREADS=") + threads +
+                   " JPM_SCHED=" + sched);
+      const ScopedEnv t("JPM_THREADS", threads);
+      const ScopedEnv s("JPM_SCHED", sched);
+      std::vector<std::string> lines;
+      const auto points =
+          run_sweep(workloads, roster, engine, [&](const std::string& line) {
+            lines.push_back(line);
+          });
+      ASSERT_EQ(points.size(), workloads.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        for (std::size_t j = 0; j < roster.size(); ++j) {
+          SCOPED_TRACE(points[i].label + "/" + roster[j].name);
+          expect_bit_identical(points[i].outcomes[j].metrics, unshared[i][j]);
+        }
+      }
+      EXPECT_EQ(lines, want_lines);
+    }
+  }
+}
+
+TEST(SweepDeterminismTest, InvalidSharedModelPointFailsWithTheConfigError) {
+  // The bad knob sits outside the key, so whichever of the five points
+  // acquires the shared model first — the bad one failing its build, or a
+  // good one building it for the bad one's generator to reject — the sweep
+  // fails with the config's own validation error.
+  auto workloads = rate_sweep();
+  workloads[2].workload.byte_rate = 0.0;
+  for (const char* threads : {"1", "4", "8"}) {
+    for (const char* sched : {"static", "steal"}) {
+      SCOPED_TRACE(std::string("JPM_THREADS=") + threads +
+                   " JPM_SCHED=" + sched);
+      const ScopedEnv t("JPM_THREADS", threads);
+      const ScopedEnv s("JPM_SCHED", sched);
+      try {
+        run_sweep(workloads, {always_on_policy(), joint_policy()},
+                  sweep_engine());
+        ADD_FAILURE() << "the sweep accepted an invalid point";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "invalid SynthesizerConfig: byte_rate must be positive and "
+                  "finite");
+      }
+    }
+  }
 }
 
 }  // namespace

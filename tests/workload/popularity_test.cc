@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
+#include "jpm/util/hash.h"
 #include "jpm/util/rng.h"
 
 namespace jpm::workload {
@@ -110,6 +112,63 @@ TEST(PopularityTest, DeterministicForSeed) {
   PopularityModel b(files, PopularityConfig{0.1, 0.9, 5});
   for (std::size_t i = 0; i < files.file_count(); ++i) {
     EXPECT_EQ(a.probability(i), b.probability(i));
+  }
+}
+
+// The solver's exact output, pinned bit for bit: the exponent feeds every
+// probability, hence the mean request size, hence every synthesized arrival
+// time. Any reordered sum or approximated pow shows up here first. Values
+// were recorded from the unoptimized solver (60 full bisection passes, each
+// normalizing all n weights, then two more passes) at the synthesizer's file
+// sets: base data set 4 GB, both the fleet (16) and fig8_popularity (4) file
+// scales.
+struct PinnedSolve {
+  std::uint64_t dataset_bytes;
+  double file_scale;
+  double popularity;
+  std::uint64_t seed;
+  std::uint64_t exponent_bits;
+  std::uint64_t achieved_bits;
+  std::uint64_t probability_fnv;  // FNV-1a over the probabilities' bytes
+};
+
+TEST(PopularityTest, SolveIsBitIdenticalToPinnedValues) {
+  const PinnedSolve cases[] = {
+      {gib(16), 16, 0.1, 1, 0x3ff255f10a57c838ull, 0x3fb9a5f886176d6cull,
+       0xe95195acb492b687ull},  // 32239 files: the fleet point
+      {gib(4), 16, 0.05, 2, 0x3ff3980d97356ce6ull, 0x3fa9bb949dfed38eull,
+       0x40bf56d9ea3bcf32ull},
+      {gib(4), 16, 0.4, 3, 0x3fef3f2555893b8cull, 0x3fd999444fd9616full,
+       0xf82c85409728a661ull},
+      {gib(4), 16, 0.6, 7, 0x3fea3667cc825442ull, 0x3fe33542e250f214ull,
+       0x4259a8376cbdbbb7ull},
+      {gib(1), 4, 0.05, 1, 0x3ff354bee8f2e93cull, 0x3fa96006568828f5ull,
+       0x5c4a73656d927eb8ull},
+      {gib(1), 4, 0.2, 5, 0x3ff12e866889dc36ull, 0x3fc9bd54737bb609ull,
+       0xd0ae91471b39f5e3ull},
+      {gib(1), 4, 0.6, 11, 0x3fea5c777091b058ull, 0x3fe333388a0af55dull,
+       0x4be20e7be7a2ac49ull},
+      {mib(256), 4, 0.1, 9, 0x3ff2b7838e8a7036ull, 0x3fb959a6bf753ac3ull,
+       0x49455cab157cc624ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.dataset_bytes << " B, file_scale "
+                                    << c.file_scale << ", popularity "
+                                    << c.popularity << ", seed " << c.seed);
+    const FileSet files(
+        FileSetConfig{c.dataset_bytes, gib(4), c.file_scale, c.seed});
+    const PopularityModel pop(files, PopularityConfig{c.popularity, 0.9,
+                                                      c.seed});
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pop.zipf_exponent()),
+              c.exponent_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pop.achieved_popularity()),
+              c.achieved_bits);
+    util::Fnv1a64 hash;
+    for (std::size_t i = 0; i < files.file_count(); ++i) {
+      const double p = pop.probability(i);
+      hash.update(&p, sizeof p);
+    }
+    EXPECT_EQ(hash.digest(), c.probability_fnv);
   }
 }
 

@@ -6,6 +6,8 @@
 #include <string>
 #include <unordered_set>
 
+#include "jpm/util/check.h"
+
 namespace jpm::workload {
 namespace {
 
@@ -88,7 +90,7 @@ TEST(SynthesizerTest, RequestRateMatchesOfferedByteRate) {
   const auto cfg = small_cfg();
   TraceGenerator gen(cfg);
   const double expected_requests =
-      cfg.byte_rate * cfg.duration_s / gen.mean_request_bytes();
+      cfg.byte_rate * cfg.duration_s / gen.model()->mean_request_bytes();
   std::uint64_t requests = 0;
   while (auto e = gen.next()) requests += e->request_start;
   EXPECT_NEAR(static_cast<double>(requests) / expected_requests, 1.0, 0.1);
@@ -187,9 +189,9 @@ TEST(SynthesizerTest, RateModulationChangesPerMinuteCounts) {
 
 TEST(SynthesizerTest, MeanRequestBytesIsPopularityWeighted) {
   TraceGenerator gen(small_cfg());
-  EXPECT_GT(gen.mean_request_bytes(), 0.0);
-  EXPECT_LT(gen.mean_request_bytes(),
-            static_cast<double>(gen.files().total_bytes()));
+  EXPECT_GT(gen.model()->mean_request_bytes(), 0.0);
+  EXPECT_LT(gen.model()->mean_request_bytes(),
+            static_cast<double>(gen.model()->files().total_bytes()));
 }
 
 TEST(SynthesizerTest, TemporalLocalityRaisesReuse) {
@@ -288,6 +290,105 @@ TEST(SynthesizerTest, ZeroWriteFractionKeepsLegacyStream) {
   auto cfg = small_cfg();
   const auto a = synthesize(cfg);
   for (const auto& e : a) ASSERT_FALSE(e.is_write);
+}
+
+// ---- shared workload models ------------------------------------------------
+
+void expect_same_lanes(const Trace& a, const Trace& b) {
+  EXPECT_EQ(a.page_bytes, b.page_bytes);
+  EXPECT_EQ(a.total_pages, b.total_pages);
+  EXPECT_EQ(a.duration_s, b.duration_s);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.times, b.times);
+  EXPECT_EQ(a.pages, b.pages);
+  EXPECT_EQ(a.flags, b.flags);
+}
+
+TEST(WorkloadModelTest, SharedModelStreamMatchesUnsharedLanes) {
+  // One model serves generators differing in every non-key knob — writes
+  // and temporal locality included — each bit-identical to a generator that
+  // built its own.
+  auto plain = small_cfg();
+  auto writes = plain;
+  writes.write_fraction = 0.3;
+  writes.byte_rate = 25e6;
+  auto local = plain;
+  local.temporal_locality = 0.6;
+  local.locality_window = 64;
+  local.page_bytes = 16 * kKiB;
+  local.rate_modulation = 0.3;
+  local.modulation_period_s = 60.0;
+
+  const auto model = build_model(plain);
+  for (const auto& cfg : {plain, writes, local}) {
+    SCOPED_TRACE(testing::Message() << "write_fraction " << cfg.write_fraction
+                                    << ", temporal_locality "
+                                    << cfg.temporal_locality);
+    const Trace shared = synthesize_trace(cfg, model);
+    expect_same_lanes(shared, synthesize_trace(cfg));
+    ASSERT_FALSE(shared.empty());
+  }
+  // Writes and locality actually took effect on the shared model.
+  const Trace with_writes = synthesize_trace(writes, model);
+  bool any_write = false;
+  for (const auto f : with_writes.flags) any_write |= (f & kTraceFlagWrite) != 0;
+  EXPECT_TRUE(any_write);
+}
+
+TEST(WorkloadModelTest, GeneratorRejectsModelBuiltForAnotherKey) {
+  auto cfg = small_cfg();
+  auto other = cfg;
+  other.seed = 10;
+  const auto model = build_model(other);
+  try {
+    TraceGenerator gen(cfg, model);
+    FAIL() << "expected a CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("seed=10"), std::string::npos) << what;
+    EXPECT_NE(what.find("seed=9"), std::string::npos) << what;
+    EXPECT_NE(what.find("dataset_bytes=268435456"), std::string::npos) << what;
+  }
+  EXPECT_THROW(TraceGenerator(cfg, nullptr), CheckError);
+}
+
+TEST(WorkloadModelTest, SharedGeneratorStillValidatesItsConfig) {
+  auto cfg = small_cfg();
+  const auto model = build_model(cfg);
+  cfg.byte_rate = 0.0;  // not a key field: the model still matches
+  EXPECT_THROW(TraceGenerator(cfg, model), std::invalid_argument);
+}
+
+TEST(WorkloadModelTest, ResetKeepsTheModel) {
+  TraceGenerator gen(small_cfg());
+  const auto model = gen.model();
+  while (gen.next()) {
+  }
+  gen.reset();
+  EXPECT_EQ(gen.model(), model);
+  const auto first = gen.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->time_s, TraceGenerator(small_cfg()).next()->time_s);
+}
+
+TEST(WorkloadModelTest, TotalPagesHelperMatchesGenerator) {
+  for (const std::uint64_t dataset : {mib(64), mib(512)}) {
+    for (const double file_scale : {4.0, 16.0}) {
+      for (const std::uint64_t page : {4 * kKiB, 64 * kKiB, 256 * kKiB}) {
+        auto cfg = small_cfg();
+        cfg.dataset_bytes = dataset;
+        cfg.file_scale = file_scale;
+        cfg.page_bytes = page;
+        cfg.seed = dataset / kMiB + page;
+        SCOPED_TRACE(testing::Message() << dataset << " B, file_scale "
+                                        << file_scale << ", page " << page);
+        EXPECT_EQ(total_pages(cfg), TraceGenerator(cfg).total_pages());
+      }
+    }
+  }
+  auto bad = small_cfg();
+  bad.page_bytes = 0;
+  EXPECT_THROW(total_pages(bad), std::invalid_argument);
 }
 
 TEST(SummarizeTest, CountsAndDuration) {

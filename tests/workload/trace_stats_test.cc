@@ -77,7 +77,8 @@ TEST(CharacterizeTest, MatchesSynthesizerConfiguration) {
   const auto trace = synthesize(cfg);
   const auto c = characterize(trace, cfg.page_bytes, cfg.duration_s);
   TraceGenerator gen(cfg);
-  const double expected_rate = cfg.byte_rate / gen.mean_request_bytes();
+  const double expected_rate =
+      cfg.byte_rate / gen.model()->mean_request_bytes();
   EXPECT_NEAR(c.request_rate_per_s / expected_rate, 1.0, 0.15);
   // Measured page-level popularity tracks the configured byte-level knob
   // loosely (pages aggregate small files).
