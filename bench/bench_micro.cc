@@ -206,11 +206,11 @@ void BM_StackDistance(benchmark::State& state) {
   cache::StackDistanceTracker tracker;
   Rng rng(2);
   const std::uint64_t span = state.range(0);
-  // Streaming harness mirroring the engine's batch replay: page ids are
-  // drawn a fixed distance ahead and their table-probe / tree lines hinted
-  // in, so what's measured includes the miss overlap a real replay gets
-  // rather than one fully serialized probe chain per event. The access
-  // sequence is identical to the unpipelined form — same draws, same order.
+  // Streaming harness: page ids are drawn a fixed distance ahead and their
+  // table-probe / tree lines hinted in, so what's measured is the tracker's
+  // own work with its misses overlapped rather than one fully serialized
+  // probe chain per event. The access sequence is identical to the
+  // unpipelined form — same draws, same order.
   constexpr std::size_t kAhead = 8;
   std::uint64_t ring[kAhead];
   for (std::size_t i = 0; i < kAhead; ++i) ring[i] = rng.uniform_index(span);
@@ -304,11 +304,8 @@ BENCHMARK(BM_WorkloadModel)->Arg(32239)->Arg(128957)->Unit(
 
 // Materializes a trace once and replays it through a single policy's full
 // pipeline per iteration — exactly one unit of run_sweep's fan-out, and the
-// perf baseline for the engine hot loop (items = trace events). Arg 0 picks
-// the policy (0 = fixed FM/2C, 1 = joint), arg 1 the replay batch size:
-// batch 1 is the classic per-event loop, 64/256 exercise the batched
-// resolve+prefetch path. Results are bit-identical across batch sizes; only
-// throughput moves.
+// perf baseline for the engine's per-event loop (items = trace events). The
+// arg picks the policy (0 = fixed FM/2C, 1 = joint).
 void BM_EngineReplay(benchmark::State& state) {
   workload::SynthesizerConfig cfg;
   cfg.dataset_bytes = mib(256);
@@ -323,7 +320,6 @@ void BM_EngineReplay(benchmark::State& state) {
   e.joint.unit_bytes = 16 * kMiB;
   e.joint.page_bytes = 64 * kKiB;
   e.joint.period_s = 300.0;
-  e.batch_size = static_cast<std::uint32_t>(state.range(1));
   const auto policy = state.range(0) == 0
                           ? sim::fixed_policy(
                                 sim::DiskPolicyKind::kTwoCompetitive, mib(128))
@@ -334,13 +330,7 @@ void BM_EngineReplay(benchmark::State& state) {
   state.SetItemsProcessed(
       state.iterations() * static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_EngineReplay)
-    ->Args({0, 1})
-    ->Args({0, 64})
-    ->Args({0, 256})
-    ->Args({1, 1})
-    ->Args({1, 64})
-    ->Args({1, 256});
+BENCHMARK(BM_EngineReplay)->Arg(0)->Arg(1);
 
 // Work whose cost the optimizer cannot collapse: a multiply-add chain with a
 // loop-carried dependence, `rounds` deep.
@@ -483,7 +473,7 @@ void BM_TraceFileDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceFileDecode);
 
-// File-backed replay vs BM_EngineReplay/1/256: the same engine hot loop fed
+// File-backed replay vs BM_EngineReplay/1: the same engine hot loop fed
 // from decoded chunk windows instead of a materialized trace. The gap
 // between the two is the whole cost of the chunked store on the sweep path.
 void BM_FileBackedReplay(benchmark::State& state) {

@@ -3,7 +3,7 @@
 //   ./examples/trace_inspector <trace-file> [cache_gib]
 //   ./examples/trace_inspector --demo [cache_gib]
 //
-// Loads a binary (.jpmt) or CSV trace (see workload/trace_io.h), prints the
+// Loads a JPMC or CSV trace (see tracefile/reader.h), prints the
 // measured workload characteristics, derives the idle-interval population a
 // given cache size would leave the disk, fits the paper's Pareto model, and
 // prints the recommended timeout — the timeout-advisor pipeline applied to a
@@ -16,8 +16,8 @@
 #include "jpm/disk/disk_model.h"
 #include "jpm/pareto/pareto.h"
 #include "jpm/pareto/timeout_math.h"
+#include "jpm/tracefile/reader.h"
 #include "jpm/workload/synthesizer.h"
-#include "jpm/workload/trace_io.h"
 #include "jpm/workload/trace_stats.h"
 
 using namespace jpm;
@@ -25,11 +25,11 @@ using namespace jpm;
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: %s <trace.jpmt|trace.csv|--demo> [cache_gib]\n",
+                 "usage: %s <trace.jpmc|trace.csv|--demo> [cache_gib]\n",
                  argv[0]);
     return 1;
   }
-  const std::uint64_t page_bytes = 64 * kKiB;
+  std::uint64_t page_bytes = 64 * kKiB;
   std::vector<workload::TraceEvent> trace;
   if (std::strcmp(argv[1], "--demo") == 0) {
     workload::SynthesizerConfig cfg;
@@ -42,7 +42,9 @@ int main(int argc, char** argv) {
     trace = workload::synthesize(cfg);
     std::puts("(demo trace: 4 GiB data set, 20 MB/s, popularity 0.1)");
   } else {
-    trace = workload::load_trace(argv[1]);
+    const workload::Trace loaded = tracefile::load_any_trace(argv[1]);
+    if (loaded.page_bytes != 0) page_bytes = loaded.page_bytes;  // JPMC
+    trace = loaded.to_events();
   }
   const double cache_gib = argc > 2 ? std::atof(argv[2]) : 1.0;
   const auto cache_pages =

@@ -27,7 +27,6 @@
 #include "jpm/cache/page_table.h"
 #include "jpm/util/arena.h"
 #include "jpm/util/check.h"
-#include "jpm/util/prefetch.h"
 
 namespace jpm::cache {
 
@@ -77,10 +76,6 @@ class LruCache {
     }
     return AccessOutcome{true, bank_of(f)};
   }
-
-  // Hints a resolved frame's list node into cache ahead of touch().
-  // Advisory only.
-  void prefetch_frame(FrameIndex f) const { util::prefetch_write(&nodes_[f]); }
 
   // Inserts a page known to be absent, evicting the LRU page when the cache
   // is at capacity. The outcome reports the receiving bank/frame and any

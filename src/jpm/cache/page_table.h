@@ -56,15 +56,12 @@ class PageTable {
   // entries). Callers must only erase entries that are vacant.
   void erase(PageId page) { map_.erase(page); }
 
-  // Hints the page's home slot into cache ahead of a find/find_or_insert
-  // (the batched replay loop resolves probes one batch ahead). Advisory.
+  // Hints the page's home slot into cache ahead of a find/find_or_insert.
+  // Advisory.
   void prefetch(PageId page) const { map_.prefetch(page); }
 
   void reserve(std::size_t pages) { map_.reserve(pages); }
   std::size_t size() const { return map_.size(); }
-  // Slot-array capacity; changes exactly when an insert rehashed the table
-  // (batched resolution uses this to detect invalidated entry pointers).
-  std::size_t capacity() const { return map_.capacity(); }
 
   // Unspecified order; callers needing determinism sort what they collect.
   template <typename F>

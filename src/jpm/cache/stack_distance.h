@@ -76,21 +76,13 @@ class StackDistanceTracker {
     return depth;
   }
 
-  // Hints the counter-tree lines a future access_at(entry) will walk: the
-  // previous slot's leaf word + counter node and the predicted append slot,
-  // assuming `lanes_ahead` accesses happen first. Advisory — a compaction
-  // between the hint and the access only makes the hint useless, never
-  // wrong.
-  void prefetch_access(const PageEntry& entry, std::size_t lanes_ahead) const {
-    if (entry.slot != kNoSlot) tree_.prefetch(entry.slot);
-    tree_.prefetch(next_slot_ + lanes_ahead);
-  }
-
-  // Same idea keyed by page, for callers on the owned-table access(page)
-  // path: hints the table's home slot for the page plus the predicted
-  // append-slot tree lines. With a large page table the probe line is the
-  // long pole — issuing it a few accesses early lets several probe misses
-  // be in flight at once instead of serializing. Advisory only.
+  // Hints the lines a future access(page) will touch, assuming
+  // `lanes_ahead` accesses happen first: the table's home slot for the page
+  // plus the predicted append-slot tree lines. With a large page table the
+  // probe line is the long pole — issuing it a few accesses early lets
+  // several probe misses be in flight at once instead of serializing.
+  // Advisory: a compaction between the hint and the access only makes the
+  // hint useless, never wrong.
   void prefetch_page(std::uint64_t page, std::size_t lanes_ahead) const {
     table_->prefetch(page);
     tree_.prefetch(next_slot_ + lanes_ahead);

@@ -31,14 +31,16 @@
 //   jpm trace synth|pack|info|cat
 //       The chunked on-disk trace store (JPMC; see src/jpm/tracefile/):
 //       synth writes a scenario workload point to a trace file with bounded
-//       RSS, pack converts legacy JPMT/CSV captures, info prints the header,
+//       RSS, pack converts CSV captures, info prints the header,
 //       index, and content hash, cat decodes back to CSV or JSONL. A
 //       scenario workload point replays such a file via
 //       "trace": {"path": "big.jpmc"}.
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -77,7 +79,7 @@ int usage(std::ostream& os, int code) {
         "            [--chunk-events=N]       synthesize to a chunked file\n"
         "  jpm trace pack <in> <out.jpmc> [--page-bytes=N] [--total-pages=N]\n"
         "            [--duration=S] [--chunk-events=N]\n"
-        "                                     convert JPMT/CSV to chunked\n"
+        "                                     convert CSV to chunked\n"
         "  jpm trace info <file.jpmc> [--chunks] [--verify]\n"
         "                                     header, index, content hash\n"
         "  jpm trace cat <file.jpmc> [--format=csv|jsonl] [--limit=N]\n"
@@ -342,19 +344,28 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::signal(SIGINT, on_sigint);
 
   // Consumer thread: pump the ring into the engine until EOF drains it,
-  // then close the run. Telemetry binds here (single-writer recorder).
+  // then close the run. Telemetry binds here (single-writer recorder). An
+  // engine error (e.g. an event page outside the data set) stops the
+  // producer and is rethrown once the consumer has joined.
   jpm::sim::RunMetrics metrics;
+  std::exception_ptr consumer_error;
+  std::atomic<bool> consumer_failed{false};
   std::thread consumer([&] {
-    jpm::telemetry::ScopedRun scope(rec);
-    engine.run_until_closed();
-    metrics = engine.finish();
+    try {
+      jpm::telemetry::ScopedRun scope(rec);
+      engine.run_until_closed();
+      metrics = engine.finish();
+    } catch (...) {
+      consumer_error = std::current_exception();
+      consumer_failed = true;
+    }
   });
 
   // Producer: this thread decodes stdin and offers into the ring.
   jpm::stream::EventReader reader(std::cin, format);
   std::string decode_error;
   jpm::stream::StreamEvent event;
-  for (;;) {
+  while (!consumer_failed) {
     const auto status = reader.next(&event);
     if (status == jpm::stream::EventReader::Status::kEndOfStream) break;
     if (status == jpm::stream::EventReader::Status::kError) {
@@ -368,6 +379,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
   engine.close();
   consumer.join();
+  if (consumer_error) std::rethrow_exception(consumer_error);
 
   const bool interrupted = g_interrupted != 0;
   const jpm::stream::StreamStats stats = engine.stats();
@@ -582,9 +594,9 @@ int cmd_trace_pack(const std::vector<std::string>& args) {
     return 2;
   }
   jpm::workload::Trace trace = jpm::tracefile::load_any_trace(in_file);
-  // Legacy formats carry no geometry: default the page size, derive the
-  // data-set size and duration from the events (the ReplayTrace rules),
-  // unless flags pin them down.
+  // CSV carries no geometry: default the page size, derive the
+  // data-set size and duration from the events (the run_simulation rules
+  // for a trace), unless flags pin them down.
   if (page_bytes != 0) trace.page_bytes = page_bytes;
   if (trace.page_bytes == 0) trace.page_bytes = 256 * jpm::kKiB;
   if (total_pages != 0) trace.total_pages = total_pages;

@@ -449,7 +449,10 @@ ClusterMetrics ClusterEngine::run() {
       // Never touched: the pipeline idles the whole run. Account it with a
       // single synthetic request-start at t=0, exactly like the replay path
       // always has.
-      engine.push(0.0, 0, workload::kTraceFlagStart);
+      const double t0 = 0.0;
+      const std::uint64_t page0 = 0;
+      const std::uint8_t start = workload::kTraceFlagStart;
+      engine.push_chunk(&t0, &page0, &start, 1);
     } else {
       engine.push_chunk(shards.times.data() + begin,
                         shards.pages.data() + begin,

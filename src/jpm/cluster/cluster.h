@@ -103,8 +103,8 @@ struct ClusterMetrics {
 // are sized by a counting pass and filled by a single scatter pass, so the
 // whole fleet's state is three allocations regardless of server count, each
 // server's events are contiguous (cache- and prefetch-friendly for the
-// batched engine), and a server task replays its block zero-copy through the
-// engine's push-mode interface.
+// engine's per-event loop), and a server task pushes its block zero-copy
+// into the engine.
 struct ShardLayout {
   std::vector<double> times;
   std::vector<std::uint64_t> pages;

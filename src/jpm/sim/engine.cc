@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -30,23 +29,14 @@ struct Engine::Impl {
   PolicySpec policy;
   EngineConfig config;
 
-  // Trace source: a live generator, an owned replay, or a borrowed immutable
-  // Trace. The latter two both run through the SoA lane views below (the
-  // ReplayTrace constructor converts its AoS events into `owned_trace`).
-  std::unique_ptr<workload::TraceGenerator> generator;
-  workload::Trace owned_trace;  // storage for the ReplayTrace constructor
-  const double* ev_times = nullptr;
-  const std::uint64_t* ev_pages = nullptr;
-  const std::uint8_t* ev_flags = nullptr;
-  std::size_t event_count = 0;
-  double duration_s = 0.0;
+  double duration_s = 0.0;  // telemetry annotation only (run_begin)
   std::uint64_t total_pages = 0;
 
   std::unique_ptr<disk::TimeoutPolicy> timeout_policy;
   disk::DynamicTimeout* dynamic_timeout = nullptr;  // set for joint runs
   std::unique_ptr<disk::Storage> disk;
-  // Bump arena backing the frame-node array and the tracker's Fenwick tree:
-  // the replay hot path walks both, and arena placement keeps them in one
+  // Bump arena backing the frame-node array and the tracker's counter tree:
+  // the per-event loop walks both, and arena placement keeps them in one
   // contiguous region instead of scattered heap blocks. Declared before its
   // users so it outlives them.
   util::Arena arena;
@@ -92,11 +82,9 @@ struct Engine::Impl {
   double period_busy_start_s = 0.0;
   std::uint64_t period_delayed_requests = 0;
   double last_disk_finish;
-  bool ran = false;
-  // Push-mode state: live engines start lazily at the first push and end at
-  // finish(); forced fallback / shed counts come from the stream overload
-  // policies (see engine.h).
-  bool live = false;
+  // Engines start lazily at the first push and end at finish(); forced
+  // fallback / shed counts come from the stream overload policies (see
+  // engine.h).
   bool started = false;
   bool finished = false;
   bool forced_fallback = false;
@@ -120,101 +108,15 @@ struct Engine::Impl {
     double latency_s = 0.0;
   } snapshot;
 
-  Impl(const workload::SynthesizerConfig& wl, const PolicySpec& spec,
-       const EngineConfig& cfg)
-      : policy(spec), config(cfg),
-        generator(std::make_unique<workload::TraceGenerator>(wl)),
-        meter(cfg.joint.mem, 0, 0.0), last_disk_finish(0.0) {
-    duration_s = wl.duration_s;
-    total_pages = generator->total_pages();
-    init(wl.page_bytes);
-  }
-
-  Impl(ReplayTrace trace, const PolicySpec& spec, const EngineConfig& cfg)
-      : policy(spec), config(cfg), meter(cfg.joint.mem, 0, 0.0),
-        last_disk_finish(0.0) {
-    duration_s = trace.duration_s;
-    total_pages = trace.total_pages;
-    owned_trace = workload::trace_from_events(trace.events, trace.page_bytes,
-                                              trace.total_pages,
-                                              trace.duration_s);
-    attach_trace(owned_trace);
-    init(trace.page_bytes);
-  }
-
-  Impl(const workload::Trace& trace, const PolicySpec& spec,
-       const EngineConfig& cfg)
-      : policy(spec), config(cfg), meter(cfg.joint.mem, 0, 0.0),
-        last_disk_finish(0.0) {
-    duration_s = trace.duration_s;
-    total_pages = trace.total_pages;
-    attach_trace(trace);
-    init(trace.page_bytes);
-  }
-
   Impl(const LiveSource& source, const PolicySpec& spec,
        const EngineConfig& cfg)
       : policy(spec), config(cfg), meter(cfg.joint.mem, 0, 0.0),
         last_disk_finish(0.0) {
     JPM_CHECK_MSG(source.total_pages > 0,
                   "a live source must declare its data-set size");
-    live = true;
     duration_s = source.duration_hint_s;
     total_pages = source.total_pages;
     init(source.page_bytes);
-  }
-
-  // Validates a trace's event lanes and adopts them as the run's source.
-  // Fills duration and data-set size when the caller left them derived (0).
-  void attach_trace(const workload::Trace& tr) {
-    JPM_CHECK_MSG(!tr.empty(), "replay trace is empty");
-    // Branchless validation scan (accumulate, check once): the per-element
-    // CHECK's early-exit branch kept the compiler from vectorizing what is
-    // otherwise a pure max/ordered reduction over the whole trace — and this
-    // scan runs per replay, which a sweep repeats per policy.
-    const double* times = tr.times.data();
-    const std::uint64_t* pages = tr.pages.data();
-    const std::size_t count = tr.size();
-    // >= (not !<) so a NaN timestamp fails the scan exactly as the
-    // per-element CHECK did.
-    bool sorted = times[0] >= 0.0;
-    std::size_t i = 1;
-#if defined(__SSE2__)
-    // Two compares per vector op; a NaN makes cmple false, clearing its ok
-    // bit, so the NaN behaviour above is preserved.
-    __m128d ok = _mm_castsi128_pd(_mm_set1_epi32(-1));
-    for (; i + 2 <= count; i += 2) {
-      ok = _mm_and_pd(ok, _mm_cmple_pd(_mm_loadu_pd(times + i - 1),
-                                       _mm_loadu_pd(times + i)));
-    }
-    sorted &= _mm_movemask_pd(ok) == 3;
-#endif
-    for (; i < count; ++i) sorted &= times[i] >= times[i - 1];
-    JPM_CHECK_MSG(sorted, "replay trace must be time-sorted");
-    // Four independent accumulators: a single max is a loop-carried chain
-    // (SSE2 has no packed 64-bit max to lean on).
-    std::uint64_t m0 = pages[0], m1 = 0, m2 = 0, m3 = 0;
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-      m0 = std::max(m0, pages[j]);
-      m1 = std::max(m1, pages[j + 1]);
-      m2 = std::max(m2, pages[j + 2]);
-      m3 = std::max(m3, pages[j + 3]);
-    }
-    for (; j < count; ++j) m0 = std::max(m0, pages[j]);
-    const std::uint64_t max_page = std::max(std::max(m0, m1), std::max(m2, m3));
-    const double prev = tr.times.back();
-    // Events may trail slightly past the declared duration (the synthesizer
-    // admits arrivals up to it and their pages follow); like the generator
-    // path, the run still closes its books at the declared duration.
-    if (duration_s == 0.0) duration_s = prev;
-    if (total_pages == 0) total_pages = max_page + 1;
-    JPM_CHECK_MSG(max_page < total_pages,
-                  "trace pages exceed the declared data-set size");
-    ev_times = tr.times.data();
-    ev_pages = tr.pages.data();
-    ev_flags = tr.flags.data();
-    event_count = tr.size();
   }
 
   // Rejects configurations that would silently corrupt the run. Uses
@@ -245,9 +147,6 @@ struct Engine::Impl {
     }
     if (config.long_latency_threshold_s < 0.0) {
       bad("long_latency_threshold_s must be nonnegative");
-    }
-    if (config.batch_size == 0 || config.batch_size > 65536) {
-      bad("batch_size must be in [1, 65536]");
     }
     jc.disk.validate();
     fault::validate(config.fault);
@@ -384,10 +283,6 @@ struct Engine::Impl {
       manager = std::make_unique<core::JointPowerManager>(jc, guard);
       collector = std::make_unique<core::PeriodStatsCollector>(
           jc.unit_frames(), jc.max_units(), 0.0);
-      // Replay runs know the event count up front: pre-size the first
-      // period's lanes so the per-access push never grows mid-run (the
-      // growth ramp re-paid on every run dominated collector time).
-      if (event_count > 0) collector->reserve_events(event_count);
       current_units = manager->initial_memory_units();
       dynamic_timeout->set_timeout(manager->initial_timeout_s());
     } else {
@@ -562,36 +457,36 @@ struct Engine::Impl {
 
   // ---- main loop ----------------------------------------------------------
 
-  // Applies one event's cache/disk work given its already-resolved page
-  // entry. The caller has handled period boundaries, flush ticks, bank
-  // expiries, and the warm-up snapshot for time t; the entry pointer is
-  // valid for the duration of the call. Force-inlined: the resident-hit
-  // body below is the per-event steady state of a replay, and inlining it
-  // into the batch walk lets consecutive events' tree descents and LRU
-  // splices schedule around each other; the miss tail stays out of line so
-  // the hot loop's code footprint stays small.
-  JPM_FORCE_INLINE void apply_access(double t, std::uint64_t page,
-                                     bool is_write, cache::PageEntry* entry,
-                                     bool telem_on) {
+  [[noreturn]] void reject_page(std::uint64_t page) const {
+    throw std::out_of_range("event page " + std::to_string(page) +
+                            " is outside the data set: the source declares " +
+                            std::to_string(total_pages) + " pages");
+  }
+
+  // One event: timer bookkeeping, then a single page-table probe resolves
+  // the page for every consumer — the stack-distance update reads/writes
+  // the entry's `slot` half and the residency check reads its `frame` half.
+  // The resident hit is the per-event steady state of a run and stays
+  // inline; the miss tail is out of line so the loop's code stays small.
+  void step_event(double t, std::uint64_t page, bool is_write) {
+    if (page >= total_pages) [[unlikely]] reject_page(page);
+    advance_timers(t);
+    ++metrics.cache_accesses;
+    ++period_cache_accesses;
     // A telemetry session records spin-down markers the moment a timeout
-    // expires; keep the classic per-event advance in that mode so the event
-    // stream orders exactly as before (session-wide, not per-run: TELEM_EVENT
+    // expires; keep the per-event advance in that mode so the event stream
+    // orders exactly as before (session-wide, not per-run: TELEM_EVENT
     // fires even on threads outside any ScopedRun). Metrics never need it:
     // spin-downs are stamped at their expiry time and every state read
     // (read(), energy_through(), finalize()) advances internally first.
-    // `telem_on` is the caller's read of telemetry::enabled() — an atomic
-    // load the compiler cannot hoist out of the batch walk itself.
-    if (telem_on) disk->advance(t);
+    if (telemetry::enabled()) disk->advance(t);
+    cache::PageEntry* entry = page_table.find_or_insert(page);
     if (tracker) {
       const std::uint64_t depth = tracker->access_at(*entry);
       // Writes never become disk reads, so they stay out of the miss
       // curve and idle prediction; they still age the LRU stack above.
       if (!is_write) collector->on_access(t, depth);
     }
-    // Note: cache_accesses / period_cache_accesses are bumped by the caller
-    // (per event in step_event, once per batch in feed — batches provably
-    // cross no boundary, and the counters are only read at boundaries and
-    // at the end of a run, so the batched bump is observationally exact).
 
     if (entry->frame != cache::kNoFrame) {
       const auto outcome = lru->touch(entry->frame);
@@ -601,13 +496,13 @@ struct Engine::Impl {
       return;
     }
 
-    apply_access_miss(t, page, is_write);
+    access_miss(t, page, is_write);
   }
 
-  // The non-resident tail of apply_access: write-allocate or disk read plus
+  // The non-resident tail of step_event: write-allocate or disk read plus
   // install, readahead, and the latency/idle bookkeeping that only miss
   // events carry.
-  void apply_access_miss(double t, std::uint64_t page, bool is_write) {
+  void access_miss(double t, std::uint64_t page, bool is_write) {
     const std::uint64_t page_bytes = config.joint.page_bytes;
     if (is_write) {
       // Write-allocate without fetch: the whole page is overwritten, so no
@@ -675,20 +570,6 @@ struct Engine::Impl {
     }
   }
 
-  // The full per-event path: timer bookkeeping, then a single page-table
-  // probe resolves the page for every consumer of the event — the
-  // stack-distance update reads/writes the entry's `slot` half and the
-  // residency check reads its `frame` half. This is the generator path's
-  // loop body and the batched replay's fallback for events at or past a
-  // timer edge.
-  void step_event(double t, std::uint64_t page, bool is_write) {
-    advance_timers(t);
-    ++metrics.cache_accesses;
-    ++period_cache_accesses;
-    apply_access(t, page, is_write, page_table.find_or_insert(page),
-                 telemetry::enabled());
-  }
-
   // The timer half of step_event: warm-up snapshot, period boundaries,
   // flush ticks, and bank expiries through time t. Also the watchdog's
   // forced period close (advance_to), which runs it without an access.
@@ -708,163 +589,8 @@ struct Engine::Impl {
     }
   }
 
-  // Batched event feed — the shared core of trace replay and the streaming
-  // daemon (which pushes ring-drained SoA chunks through the same code).
-  // Pulls events in runs of up to batch_size that provably cross no period
-  // boundary, flush tick, or warm-up edge, so per-event timer checks vanish
-  // from the hot loop. In fused joint runs the batch's page-table probes are
-  // all resolved up front (entry pointers stay valid: eviction never erases
-  // an entry whose tracker half is live, and compaction rewrites slots
-  // without touching the map), then the apply pass walks the events in
-  // software-pipelined lockstep: while event k's counter-tree descent and
-  // LRU splice execute, the lines event k+kPipelineAhead will touch are
-  // being prefetched. Keeping the prefetch a fixed small distance ahead —
-  // instead of hinting the whole batch up front — bounds the in-flight
-  // footprint to a few cache lines per lane, so hints are still resident
-  // when their event arrives (the whole-batch variant evicted its own hints
-  // at batch 256 and ran *slower* than batch 1; see DESIGN.md). The
-  // non-fused mode re-probes per event, since eviction without a tracker
-  // erases entries and relocates their neighbors, but pipelines its probe
-  // prefetches the same way. Bit-identical to the per-event loop for every
-  // batch size and every chunking of the event stream into feed() calls.
-  void feed(const double* ev_times, const std::uint64_t* ev_pages,
-            const std::uint8_t* ev_flags, std::size_t n) {
-    // Far enough that a hint's line arrives from L2/L3 before its event,
-    // close enough that at most ~4 lanes x ~4 lines are in flight.
-    constexpr std::size_t kPipelineAhead = 4;
-    // Hint lanes only pay for themselves when the probe targets outrun the
-    // cache. The page table is the proxy for the whole per-page working set
-    // (tracker tree and LRU nodes scale with the same page count): under
-    // 64Ki slots (~1 MiB of table) everything is L2-resident and each hint
-    // is ~10 wasted instructions per event. Purely advisory, so gating by
-    // current capacity (re-read per batch; inserts can grow it) cannot
-    // change results.
-    constexpr std::size_t kHintMinTableSlots = std::size_t{64} * 1024;
-    const std::size_t batch = config.batch_size;
-    // Bank policies carry their own per-event timer (pending disables), so
-    // they keep the classic loop.
-    const bool batching = batch > 1 && banks == nullptr;
-    const bool ptr_mode = tracker != nullptr && config.readahead_pages == 0;
-    std::vector<cache::PageEntry*> entries;
-    if (batching && ptr_mode) entries.resize(batch);
-
-    std::size_t i = 0;
-    while (i < n) {
-      if (!batching) {
-        step_event(ev_times[i], ev_pages[i],
-                   (ev_flags[i] & workload::kTraceFlagWrite) != 0);
-        ++i;
-        continue;
-      }
-      // Next time at which per-event bookkeeping must run. Events strictly
-      // before it cannot trip a boundary (<= fires), a flush (<= fires), or
-      // the warm-up snapshot (>= fires).
-      double limit = next_boundary;
-      if (config.flush_interval_s > 0.0 && next_flush < limit) {
-        limit = next_flush;
-      }
-      if (!snapshot.taken && config.warm_up_s < limit) {
-        limit = config.warm_up_s;
-      }
-      if (ev_times[i] >= limit) {
-        step_event(ev_times[i], ev_pages[i],
-                   (ev_flags[i] & workload::kTraceFlagWrite) != 0);
-        ++i;
-        continue;
-      }
-      std::size_t end = i + 1;
-      const std::size_t cap = std::min(n, i + batch);
-      while (end < cap && ev_times[end] < limit) ++end;
-      const std::size_t m = end - i;
-      // Batched bump of the two per-event access counters (see the note in
-      // apply_access): no boundary, flush, or snapshot can fire inside the
-      // batch, and nothing else reads them mid-event.
-      metrics.cache_accesses += m;
-      period_cache_accesses += m;
-      // One relaxed atomic load per batch instead of per event. Sessions
-      // start before a run and stop after it; a mid-batch flip (another
-      // thread's start()/stop() racing a relaxed load) has no ordering
-      // guarantee to preserve in the first place.
-      const bool telem_on = telemetry::enabled();
-
-      const bool hint = page_table.capacity() >= kHintMinTableSlots;
-      if (ptr_mode) {
-        // Phase A: resolve every lane's entry, keeping the probe prefetch a
-        // fixed distance ahead so the home slot's line is in flight while
-        // earlier lanes probe.
-        const std::size_t table_cap = page_table.capacity();
-        if (hint) {
-          for (std::size_t k = 0; k < m && k < kPipelineAhead; ++k) {
-            page_table.prefetch(ev_pages[i + k]);
-          }
-          for (std::size_t k = 0; k < m; ++k) {
-            if (k + kPipelineAhead < m) {
-              page_table.prefetch(ev_pages[i + k + kPipelineAhead]);
-            }
-            entries[k] = page_table.find_or_insert(ev_pages[i + k]);
-          }
-        } else {
-          for (std::size_t k = 0; k < m; ++k) {
-            entries[k] = page_table.find_or_insert(ev_pages[i + k]);
-          }
-        }
-        if (page_table.capacity() != table_cap) {
-          // An insert rehashed the table mid-batch; re-resolve every lane
-          // (find never mutates, so these pointers are final).
-          for (std::size_t k = 0; k < m; ++k) {
-            entries[k] = page_table.find(ev_pages[i + k]);
-          }
-        }
-        // Phase B: the lockstep walk. Event k's work overlaps the line
-        // fetches for event k+kPipelineAhead — its counter-tree leaf/node,
-        // the predicted append slot (kPipelineAhead appends from now), and,
-        // for resident pages, the LRU list node.
-        if (hint) {
-          for (std::size_t k = 0; k < m && k < kPipelineAhead; ++k) {
-            tracker->prefetch_access(*entries[k], k);
-            if (entries[k]->frame != cache::kNoFrame) {
-              lru->prefetch_frame(entries[k]->frame);
-            }
-          }
-          for (std::size_t k = 0; k < m; ++k) {
-            if (k + kPipelineAhead < m) {
-              cache::PageEntry* ahead = entries[k + kPipelineAhead];
-              tracker->prefetch_access(*ahead, kPipelineAhead);
-              if (ahead->frame != cache::kNoFrame) {
-                lru->prefetch_frame(ahead->frame);
-              }
-            }
-            apply_access(ev_times[i + k], ev_pages[i + k],
-                         (ev_flags[i + k] & workload::kTraceFlagWrite) != 0,
-                         entries[k], telem_on);
-          }
-        } else {
-          for (std::size_t k = 0; k < m; ++k) {
-            apply_access(ev_times[i + k], ev_pages[i + k],
-                         (ev_flags[i + k] & workload::kTraceFlagWrite) != 0,
-                         entries[k], telem_on);
-          }
-        }
-      } else {
-        for (std::size_t k = 0; k < m && k < kPipelineAhead; ++k) {
-          if (hint) page_table.prefetch(ev_pages[i + k]);
-        }
-        for (std::size_t k = 0; k < m; ++k) {
-          if (hint && k + kPipelineAhead < m) {
-            page_table.prefetch(ev_pages[i + k + kPipelineAhead]);
-          }
-          const std::uint64_t page = ev_pages[i + k];
-          apply_access(ev_times[i + k], page,
-                       (ev_flags[i + k] & workload::kTraceFlagWrite) != 0,
-                       page_table.find_or_insert(page), telem_on);
-        }
-      }
-      i = end;
-    }
-  }
-
-  // Binds telemetry and emits the run_begin marker. Idempotent: run() does
-  // it up front; push-mode engines do it lazily at the first push.
+  // Binds telemetry and emits the run_begin marker, lazily at the first
+  // push, advance or finish. Idempotent.
   void begin_once() {
     if (started) return;
     started = true;
@@ -885,23 +611,6 @@ struct Engine::Impl {
                   {"warm_up_s", config.warm_up_s},
                   {"disk_count", static_cast<double>(config.disk_count)});
     }
-  }
-
-  RunMetrics run() {
-    JPM_CHECK_MSG(!ran && !finished, "Engine::run is single-shot");
-    JPM_CHECK_MSG(!live, "live engines end with finish(), not run()");
-    ran = true;
-    begin_once();
-
-    if (generator) {
-      while (auto event = generator->next()) {
-        step_event(event->time_s, event->page, event->is_write);
-      }
-    } else {
-      feed(ev_times, ev_pages, ev_flags, event_count);
-    }
-
-    return finish_run(duration_s);
   }
 
   // Close out the run at `end`: final boundaries and flushes, the shutdown
@@ -971,25 +680,24 @@ struct Engine::Impl {
     return metrics;
   }
 
-  // ---- push-mode interface (live sources; see jpm::stream) ----------------
-
-  void push(double t, std::uint64_t page, std::uint8_t flags) {
-    JPM_CHECK_MSG(live, "push-mode requires a LiveSource engine");
-    JPM_CHECK_MSG(!finished, "push after finish");
-    begin_once();
-    step_event(t, page, (flags & workload::kTraceFlagWrite) != 0);
-  }
+  // ---- push interface (see engine.h) --------------------------------------
 
   void push_chunk(const double* times, const std::uint64_t* pages,
                   const std::uint8_t* flags, std::size_t n) {
-    JPM_CHECK_MSG(live, "push-mode requires a LiveSource engine");
     JPM_CHECK_MSG(!finished, "push after finish");
+    // The first chunk pre-sizes the joint collector's first period: a trace
+    // replay pushes its whole trace at once, so the per-access push never
+    // grows mid-run (the growth ramp re-paid on every run dominated
+    // collector time). Capacity only; results do not depend on it.
+    if (!started && collector) collector->reserve_events(n);
     begin_once();
-    feed(times, pages, flags, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      step_event(times[i], pages[i],
+                 (flags[i] & workload::kTraceFlagWrite) != 0);
+    }
   }
 
   void advance_to(double t) {
-    JPM_CHECK_MSG(live, "push-mode requires a LiveSource engine");
     JPM_CHECK_MSG(!finished, "advance after finish");
     begin_once();
     advance_timers(t);
@@ -1001,22 +709,12 @@ struct Engine::Impl {
   }
 
   RunMetrics finish(double end) {
-    JPM_CHECK_MSG(live, "finish() ends live engines; replays use run()");
     JPM_CHECK_MSG(!finished, "Engine::finish is single-shot");
     begin_once();
     return finish_run(end);
   }
 };
 
-Engine::Engine(const workload::SynthesizerConfig& workload,
-               const PolicySpec& policy, const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(workload, policy, config)) {}
-Engine::Engine(ReplayTrace trace, const PolicySpec& policy,
-               const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(std::move(trace), policy, config)) {}
-Engine::Engine(const workload::Trace& trace, const PolicySpec& policy,
-               const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(trace, policy, config)) {}
 Engine::Engine(const LiveSource& source, const PolicySpec& policy,
                const EngineConfig& config)
     : impl_(std::make_unique<Impl>(source, policy, config)) {}
@@ -1024,11 +722,6 @@ Engine::~Engine() = default;
 Engine::Engine(Engine&&) noexcept = default;
 Engine& Engine::operator=(Engine&&) noexcept = default;
 
-RunMetrics Engine::run() { return impl_->run(); }
-
-void Engine::push(double t, std::uint64_t page, std::uint8_t flags) {
-  impl_->push(t, page, flags);
-}
 void Engine::push_chunk(const double* times, const std::uint64_t* pages,
                         const std::uint8_t* flags, std::size_t n) {
   impl_->push_chunk(times, pages, flags, n);
@@ -1045,18 +738,68 @@ RunMetrics Engine::finish(double end_s) { return impl_->finish(end_s); }
 RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
                           const PolicySpec& policy,
                           const EngineConfig& config) {
-  return Engine(workload, policy, config).run();
+  workload::TraceGenerator generator(workload);
+  Engine engine(LiveSource{workload.page_bytes, generator.total_pages(),
+                           workload.duration_s},
+                policy, config);
+  constexpr std::size_t kChunkEvents = 4096;
+  workload::Trace chunk;
+  chunk.reserve(kChunkEvents);
+  const auto push = [&] {
+    engine.push_chunk(chunk.times.data(), chunk.pages.data(),
+                      chunk.flags.data(), chunk.size());
+    chunk.times.clear();
+    chunk.pages.clear();
+    chunk.flags.clear();
+  };
+  while (auto event = generator.next()) {
+    chunk.push_back(*event);
+    if (chunk.size() == kChunkEvents) push();
+  }
+  if (!chunk.empty()) push();
+  return engine.finish(workload.duration_s);
 }
 
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy,
                           const EngineConfig& config) {
-  return Engine(trace, policy, config).run();
-}
+  JPM_CHECK_MSG(!trace.empty(), "replay trace is empty");
+  // Branchless validation scan (accumulate, check once): a per-element
+  // CHECK's early-exit branch kept the compiler from vectorizing what is
+  // otherwise a pure ordered reduction over the whole trace — and this scan
+  // runs per replay, which a sweep repeats per policy.
+  const double* times = trace.times.data();
+  const std::size_t count = trace.size();
+  // >= (not !<) so a NaN timestamp fails the scan.
+  bool sorted = times[0] >= 0.0;
+  std::size_t i = 1;
+#if defined(__SSE2__)
+  // Two compares per vector op; a NaN makes cmple false, clearing its ok
+  // bit, so the NaN behaviour above is preserved.
+  __m128d ok = _mm_castsi128_pd(_mm_set1_epi32(-1));
+  for (; i + 2 <= count; i += 2) {
+    ok = _mm_and_pd(ok, _mm_cmple_pd(_mm_loadu_pd(times + i - 1),
+                                     _mm_loadu_pd(times + i)));
+  }
+  sorted &= _mm_movemask_pd(ok) == 3;
+#endif
+  for (; i < count; ++i) sorted &= times[i] >= times[i - 1];
+  JPM_CHECK_MSG(sorted, "replay trace must be time-sorted");
 
-RunMetrics replay_simulation(ReplayTrace trace, const PolicySpec& policy,
-                             const EngineConfig& config) {
-  return Engine(std::move(trace), policy, config).run();
+  // Zero geometry derives from the events. Events may trail slightly past
+  // a declared duration (the synthesizer admits arrivals up to it and their
+  // pages follow); the run still closes its books at the declared duration.
+  LiveSource source{trace.page_bytes, trace.total_pages, trace.duration_s};
+  if (source.total_pages == 0) {
+    source.total_pages =
+        *std::max_element(trace.pages.begin(), trace.pages.end()) + 1;
+  }
+  if (source.duration_hint_s == 0.0) {
+    source.duration_hint_s = trace.times.back();
+  }
+  Engine engine(source, policy, config);
+  engine.push_chunk(times, trace.pages.data(), trace.flags.data(), count);
+  return engine.finish(source.duration_hint_s);
 }
 
 }  // namespace jpm::sim

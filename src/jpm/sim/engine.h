@@ -42,34 +42,17 @@ struct EngineConfig {
   // the same disk operation (Papathanasiou & Scott's energy-aware
   // prefetching direction). 0 disables.
   std::uint32_t readahead_pages = 0;
-  // Replay batching: events are pulled from the trace in runs of up to this
-  // many that provably cross no period boundary, flush tick, or warm-up
-  // edge, letting the hot loop resolve page-table probes for the whole run
-  // with software prefetch before applying them. Purely a throughput knob:
-  // results are bit-identical for every value (1 = the classic per-event
-  // loop). Range 1..65536; generator-driven runs ignore it.
-  std::uint32_t batch_size = 1;
   // Fault injection (see fault/fault.h). Disabled by default; a disabled
   // plan leaves the run bit-identical to a config without one. Per-run
   // reliability counters surface in RunMetrics::reliability.
   fault::FaultPlan fault;
 };
 
-// A captured or saved trace to replay instead of synthesizing one (see
-// workload/trace_io.h for persistence).
-struct ReplayTrace {
-  std::vector<workload::TraceEvent> events;  // time-sorted
-  std::uint64_t page_bytes = 256 * kKiB;
-  // Pages in the underlying data set; 0 derives max(page) + 1.
-  std::uint64_t total_pages = 0;
-  // Simulated duration; 0 derives the last event's timestamp.
-  double duration_s = 0.0;
-};
-
-// Geometry of a live (push-mode) event source: the jpm::stream daemon feeds
-// events through Engine::push / push_chunk instead of a materialized trace,
-// so the data-set size must be declared up front (prefill, readahead bounds)
-// and the run's end arrives with Engine::finish.
+// Geometry of an event source. Every source feeds the engine through
+// push_chunk: sweep traces (run_simulation), generator streams, JPMC files
+// (FileReplay), the jpm::stream daemon and cluster shards. The data-set
+// size must be declared up front (prefill, readahead bounds, the page range
+// check) and the run's end arrives with Engine::finish.
 struct LiveSource {
   std::uint64_t page_bytes = 256 * kKiB;
   std::uint64_t total_pages = 0;  // data-set size in pages (required)
@@ -80,38 +63,17 @@ struct LiveSource {
 
 class Engine {
  public:
-  Engine(const workload::SynthesizerConfig& workload, const PolicySpec& policy,
-         const EngineConfig& config);
-  Engine(ReplayTrace trace, const PolicySpec& policy,
-         const EngineConfig& config);
-  // Replays a shared immutable trace without copying it; the trace must
-  // outlive the engine. Any number of engines may replay the same Trace
-  // concurrently. Metrics are bit-identical to the synthesizing constructor
-  // when the trace came from workload::synthesize_trace of the same config.
-  Engine(const workload::Trace& trace, const PolicySpec& policy,
-         const EngineConfig& config);
-  // Push-mode engine for a live source: no trace, events arrive through
-  // push()/push_chunk() and the run ends with finish().
   Engine(const LiveSource& source, const PolicySpec& policy,
          const EngineConfig& config);
   ~Engine();
   Engine(Engine&&) noexcept;
   Engine& operator=(Engine&&) noexcept;
 
-  // Runs the whole trace and returns the metrics. Single-shot.
-  RunMetrics run();
-
-  // ---- push-mode interface (live sources; see jpm::stream) ----------------
-  // Events must arrive with nondecreasing timestamps; `flags` uses the
-  // workload trace flag bits. Exclusive with run(): a trace-backed engine
-  // uses run(), a LiveSource engine uses push*/advance_to/finish. The replay
-  // path is a thin client of the same core (run() == push the whole trace,
-  // then finish at the declared duration), so metrics are bit-identical
-  // between a replay and a stream of the same events.
-  void push(double t, std::uint64_t page, std::uint8_t flags);
-  // Batched push over SoA lanes: same hot path as the batched replay
-  // (software prefetch across the chunk). Results are bit-identical to
-  // per-event push for every chunking.
+  // Feeds events over SoA lanes, one at a time through the per-event loop.
+  // Events must arrive with nondecreasing timestamps and pages below the
+  // source's total_pages (std::out_of_range naming both otherwise); `flags`
+  // uses the workload trace flag bits. Results are bit-identical for every
+  // chunking of the same event stream.
   void push_chunk(const double* times, const std::uint64_t* pages,
                   const std::uint8_t* flags, std::size_t n);
   // Advances timers (period boundaries, flush ticks, warm-up snapshot, bank
@@ -127,7 +89,7 @@ class Engine {
   void set_forced_fallback(bool on);
   void note_shed(std::uint64_t events);
   // Closes the run at `end_s` (drain flushes, close the final period) and
-  // returns the metrics. Single-shot, like run().
+  // returns the metrics. Single-shot.
   RunMetrics finish(double end_s);
 
  private:
@@ -135,12 +97,18 @@ class Engine {
   std::unique_ptr<Impl> impl_;
 };
 
-// Convenience wrappers: construct + run.
+// Streams the config's synthesized events through an engine in chunks and
+// finishes at the configured duration. A config that synthesizes no events
+// still runs (idle for the whole duration).
 RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
                           const PolicySpec& policy, const EngineConfig& config);
+// Replays a shared immutable trace without copying it; any number of runs
+// may replay the same Trace concurrently. The trace must be nonempty and
+// time-sorted (CheckError otherwise); a zero total_pages derives
+// max(page) + 1 and a zero duration the last event's timestamp. Metrics are
+// bit-identical to the synthesizing form when the trace came from
+// workload::synthesize_trace of the same config.
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy, const EngineConfig& config);
-RunMetrics replay_simulation(ReplayTrace trace, const PolicySpec& policy,
-                             const EngineConfig& config);
 
 }  // namespace jpm::sim

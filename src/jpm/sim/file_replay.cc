@@ -36,8 +36,8 @@ void FileReplay::push_chunk(std::size_t i) {
 
 RunMetrics FileReplay::finish_stream() {
   begin_stream();
-  // Same end-of-run rule as ReplayTrace: the declared duration, or the last
-  // event's timestamp when the header carries none.
+  // Same end-of-run rule as an in-memory trace: the declared duration, or
+  // the last event's timestamp when the header carries none.
   double end_s = reader_.header().duration_s;
   if (end_s <= 0.0 && !reader_.chunks().empty()) {
     end_s = reader_.chunks().back().t_last;

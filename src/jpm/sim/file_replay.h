@@ -3,12 +3,12 @@
 // decoded chunk (~24 bytes x chunk window) in RAM, never the whole trace.
 //
 // The mechanism is the same core every other source uses: begin_stream()
-// constructs a LiveSource engine from the file header's geometry,
-// push_chunk() decodes chunk i into the reusable buffer and feeds it through
-// Engine::push_chunk (the batched hot path), finish_stream() closes the run
-// at the header's declared duration. Engine::feed is chunking-invariant and
-// run() == push-everything + finish(duration), so the returned metrics are
-// bit-identical to an in-memory replay of the same events — the contract the
+// constructs an engine from the file header's geometry, push_chunk()
+// decodes chunk i into the reusable buffer and pushes it into the engine,
+// finish_stream() closes the run at the header's declared duration. The
+// engine is chunking-invariant and an in-memory replay is push-everything +
+// finish(duration), so the returned metrics are bit-identical to an
+// in-memory replay of the same events — the contract the
 // chunked-vs-in-memory differential tests pin down.
 #pragma once
 
@@ -31,11 +31,11 @@ class FileReplay {
   // Constructs the engine from the file header (page_bytes, total_pages,
   // duration). Idempotent; push_chunk calls it on demand.
   void begin_stream();
-  // Decodes chunk i and pushes it through the engine's batched path. Chunks
+  // Decodes chunk i and pushes it into the engine. Chunks
   // must be fed in file order, each exactly once.
   void push_chunk(std::size_t i);
   // Closes the run at the header's duration and returns the metrics.
-  // Single-shot, like Engine::run().
+  // Single-shot, like Engine::finish().
   RunMetrics finish_stream();
 
   // begin + every chunk in order + finish.

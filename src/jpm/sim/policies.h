@@ -44,6 +44,11 @@ struct PolicySpec {
   bool joint_disk() const { return disk == DiskPolicyKind::kJoint; }
   bool joint_memory() const { return mem == MemPolicyKind::kJoint; }
   bool is_joint() const { return joint_disk() && joint_memory(); }
+  // The always-on entry a sweep normalizes energy against; a sweep's roster
+  // needs exactly one.
+  bool is_baseline() const {
+    return disk == DiskPolicyKind::kAlwaysOn && !multi_speed;
+  }
 };
 
 PolicySpec joint_policy();

@@ -21,8 +21,7 @@ namespace {
 std::size_t find_baseline(const std::vector<PolicySpec>& roster) {
   std::size_t baseline = roster.size();
   for (std::size_t i = 0; i < roster.size(); ++i) {
-    if (roster[i].disk == DiskPolicyKind::kAlwaysOn &&
-        !roster[i].multi_speed) {
+    if (roster[i].is_baseline()) {
       JPM_CHECK_MSG(baseline == roster.size(),
                     "roster must contain exactly one always-on baseline; "
                     "found both \"" << roster[baseline].name << "\" and \""

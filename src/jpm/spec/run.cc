@@ -1,8 +1,10 @@
 #include "jpm/spec/run.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <string>
 
 #include "jpm/telemetry/telemetry.h"
 #include "jpm/util/check.h"
@@ -47,6 +49,22 @@ void apply_fast_mode(Scenario& sc) {
 Scenario load_for_run(const std::string& path) {
   Scenario sc = load_scenario_file(path);
   validate_scenario(sc);
+  if (!sc.cluster.has_value()) {
+    // run_sweep normalizes every energy figure against the roster's one
+    // baseline. Files that only configure a bench harness carry rosters
+    // without one: `jpm validate` accepts them, their harness reads them,
+    // but no sweep can run them.
+    const auto baselines = std::count_if(
+        sc.roster.begin(), sc.roster.end(),
+        [](const sim::PolicySpec& p) { return p.is_baseline(); });
+    if (baselines != 1) {
+      throw SpecError("$.roster: a non-cluster sweep needs exactly one "
+                      "always-on baseline to normalize energy against "
+                      "(found " + std::to_string(baselines) +
+                      "); this file configures bench_" + sc.name +
+                      ", run that harness instead");
+    }
+  }
   if (fast_mode()) apply_fast_mode(sc);
   return sc;
 }

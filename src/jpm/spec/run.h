@@ -56,6 +56,9 @@ void apply_fast_mode(Scenario& sc);
 
 // Loads a scenario file and applies the fast transform when JPM_BENCH_FAST
 // is set — what every scenario consumer that produces tables should use.
+// A non-cluster file must name exactly one always-on baseline (SpecError at
+// $.roster naming the file's bench harness otherwise): the harness-only
+// files validate but cannot be swept.
 Scenario load_for_run(const std::string& path);
 
 // Measured minutes of the first workload point: (duration - warm-up) / 60.

@@ -156,15 +156,6 @@ class ObjectReader {
     }
   }
 
-  // Optional-with-default field: reading is the plain field (the member
-  // already holds the default); the writer's overload omits the key when the
-  // value equals the default, so adding such a knob leaves every existing
-  // canonical scenario byte-identical.
-  template <typename T>
-  void field_default(const char* key, T* out, const T&) {
-    field(key, out);
-  }
-
   template <typename E, std::size_t N>
   void enum_field(const char* key, E* out, const EnumName<E> (&names)[N]) {
     if (const Value* v = child(key)) {
@@ -223,11 +214,6 @@ class ObjectWriter {
   void field(const char* key, const std::uint64_t* v) { obj_[key] = Value{*v}; }
   void field(const char* key, const std::uint32_t* v) {
     obj_[key] = Value{static_cast<std::uint64_t>(*v)};
-  }
-
-  template <typename T>
-  void field_default(const char* key, const T* v, const T& def) {
-    if (*v != def) field(key, v);
   }
 
   template <typename E, std::size_t N>
@@ -361,8 +347,6 @@ struct BindEngine {
     b.field("warm_up_s", &c.warm_up_s);
     b.field("flush_interval_s", &c.flush_interval_s);
     b.field("readahead_pages", &c.readahead_pages);
-    b.field_default("batch_size", &c.batch_size,
-                    sim::EngineConfig{}.batch_size);
     b.object_field("fault", &c.fault, BindFault{});
   }
 };
@@ -888,9 +872,6 @@ void validate_scenario(const Scenario& sc) {
   }
   if (sc.engine.disk_count == 0) {
     fail("$.engine.disk_count", "at least one disk is required");
-  }
-  if (sc.engine.batch_size == 0 || sc.engine.batch_size > 65536) {
-    fail("$.engine.batch_size", "batch_size must be in [1, 65536]");
   }
   for (std::size_t i = 0; i < sc.roster.size(); ++i) {
     const std::string path = "$.roster[" + std::to_string(i) + "]";

@@ -300,8 +300,8 @@ workload::Trace load_any_trace(const std::string& path) {
       return TraceReader(path).read_all();
     }
   }
-  // Legacy JPMT / CSV: the hardened workload reader sniffs and validates;
-  // neither format carries geometry, so the derived fields stay zero.
+  // CSV: the hardened workload reader sniffs and validates; CSV carries no
+  // geometry, so the derived fields stay zero.
   const std::vector<workload::TraceEvent> events =
       workload::load_trace(path);
   return workload::trace_from_events(events, 0, 0, 0.0);

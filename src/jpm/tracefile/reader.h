@@ -88,11 +88,11 @@ class TraceReader {
   std::vector<ChunkDesc> index_;
 };
 
-// Loads any trace file the repo knows — JPMC (chunked), JPMT (legacy
-// binary), or CSV — into a materialized Trace, sniffing the format from the
-// leading bytes. Legacy formats carry no geometry, so page_bytes/
-// total_pages/duration_s are zero and the caller's to fill (JPMC files carry
-// theirs). The ingestion path for `jpm trace pack`.
+// Loads any trace file the repo knows — JPMC (chunked) or CSV — into a
+// materialized Trace, sniffing the format from the leading bytes. CSV
+// carries no geometry, so page_bytes/total_pages/duration_s are zero and
+// the caller's to fill (JPMC files carry theirs). The ingestion path for
+// `jpm trace pack` and examples/trace_inspector.
 workload::Trace load_any_trace(const std::string& path);
 
 }  // namespace jpm::tracefile

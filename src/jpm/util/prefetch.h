@@ -1,11 +1,10 @@
 // Software-prefetch hint, compiled out on toolchains without the builtin.
 //
-// The batched replay loop (sim/engine.cc) resolves a batch of page-table
-// probes ahead of applying them; issuing prefetches for the upcoming slots
-// overlaps the Fibonacci-hash pointer chases that otherwise serialize the
-// per-event hot path. A hint never changes observable behavior, so callers
-// are free to prefetch speculative addresses (e.g. a predicted Fenwick slot
-// that a compaction may move).
+// Hinting a line a few steps ahead (the tracker's next append slot, a flat
+// map's home slot, the idle sweep's upcoming nodes) overlaps cache misses
+// that otherwise serialize a hot loop. A hint never changes observable
+// behavior, so callers are free to prefetch speculative addresses (e.g. a
+// predicted counter-tree slot that a compaction may move).
 #pragma once
 
 namespace jpm::util {

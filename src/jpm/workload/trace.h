@@ -27,9 +27,9 @@ inline constexpr std::uint8_t kTraceFlagWrite = 1u << 1;
 // derived fields are filled by synthesize_trace (synthesizer.h) so a replay
 // is bit-identical to a generator-driven run of the same config.
 //
-// Events are stored structure-of-arrays: the replay hot loop streams
-// timestamps, page ids, and op flags as independent densely packed lanes
-// (the batched engine reads a run of each per batch), instead of striding
+// Events are stored structure-of-arrays: a replay pushes timestamps, page
+// ids, and op flags into the engine as independent densely packed lanes
+// (the same shape every other event source uses), instead of striding
 // through 24-byte AoS records for fields it may not need. All three lanes
 // always have equal length and share one index.
 struct Trace {

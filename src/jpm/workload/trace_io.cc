@@ -9,22 +9,6 @@
 namespace jpm::workload {
 namespace {
 
-constexpr char kMagic[4] = {'J', 'P', 'M', 'T'};
-// v1: flags byte held only request_start (0/1). v2: bit 0 = request_start,
-// bit 1 = is_write. v1 files read fine under the v2 interpretation.
-constexpr std::uint32_t kVersion = 2;
-
-struct PackedEvent {
-  double time_s;
-  std::uint64_t page;
-  std::uint8_t flags;
-  std::uint8_t pad[7] = {};
-};
-static_assert(sizeof(PackedEvent) == 24);
-
-constexpr std::uint8_t kFlagStart = 1u << 0;
-constexpr std::uint8_t kFlagWrite = 1u << 1;
-
 void check_monotonic(const std::vector<TraceEvent>& trace) {
   double prev = -1.0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -35,97 +19,11 @@ void check_monotonic(const std::vector<TraceEvent>& trace) {
   }
 }
 
+// Bytes the format sniff peeks at: enough to see past a 4-byte magic into
+// the binary header that follows one.
+constexpr std::streamsize kSniffBytes = 16;
+
 }  // namespace
-
-void write_binary_trace(std::ostream& os,
-                        const std::vector<TraceEvent>& trace) {
-  os.write(kMagic, sizeof kMagic);
-  const std::uint32_t version = kVersion;
-  const std::uint64_t count = trace.size();
-  os.write(reinterpret_cast<const char*>(&version), sizeof version);
-  os.write(reinterpret_cast<const char*>(&count), sizeof count);
-  for (const auto& e : trace) {
-    const std::uint8_t flags =
-        static_cast<std::uint8_t>((e.request_start ? kFlagStart : 0) |
-                                  (e.is_write ? kFlagWrite : 0));
-    PackedEvent p{e.time_s, e.page, flags, {}};
-    os.write(reinterpret_cast<const char*>(&p), sizeof p);
-  }
-  JPM_CHECK_MSG(os.good(), "trace write failed");
-}
-
-void write_binary_trace(std::ostream& os, const Trace& trace) {
-  os.write(kMagic, sizeof kMagic);
-  const std::uint32_t version = kVersion;
-  const std::uint64_t count = trace.size();
-  os.write(reinterpret_cast<const char*>(&version), sizeof version);
-  os.write(reinterpret_cast<const char*>(&count), sizeof count);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto flags =
-        static_cast<std::uint8_t>(trace.flags[i] & (kFlagStart | kFlagWrite));
-    PackedEvent p{trace.times[i], trace.pages[i], flags, {}};
-    os.write(reinterpret_cast<const char*>(&p), sizeof p);
-  }
-  JPM_CHECK_MSG(os.good(), "trace write failed");
-}
-
-std::vector<TraceEvent> read_binary_trace(std::istream& is) {
-  char magic[4];
-  is.read(magic, sizeof magic);
-  JPM_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, 4) == 0,
-                "not a JPMT trace");
-  std::uint32_t version = 0;
-  std::uint64_t count = 0;
-  is.read(reinterpret_cast<char*>(&version), sizeof version);
-  is.read(reinterpret_cast<char*>(&count), sizeof count);
-  JPM_CHECK_MSG(is.good(), "trace header truncated");
-  JPM_CHECK_MSG(version == 1 || version == kVersion,
-                "unsupported trace version " << version);
-
-  // Bounds-check the declared record count against the remaining stream
-  // before allocating: a corrupt or hostile header must not drive a
-  // multi-gigabyte reserve (or a long truncation loop). Non-seekable
-  // streams skip the pre-check and rely on the per-record one below.
-  const std::istream::pos_type body_start = is.tellg();
-  if (body_start != std::istream::pos_type(-1)) {
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type end_pos = is.tellg();
-    is.seekg(body_start);
-    if (end_pos != std::istream::pos_type(-1) && end_pos >= body_start) {
-      const auto available =
-          static_cast<std::uint64_t>(end_pos - body_start);
-      JPM_CHECK_MSG(
-          count <= available / sizeof(PackedEvent),
-          "corrupt trace header: " << count << " records declared but only "
-                                   << available / sizeof(PackedEvent)
-                                   << " fit in the remaining " << available
-                                   << " bytes");
-    }
-  }
-
-  std::vector<TraceEvent> trace;
-  trace.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PackedEvent p;
-    is.read(reinterpret_cast<char*>(&p), sizeof p);
-    JPM_CHECK_MSG(is.good(), "trace truncated at record "
-                                 << i << " of " << count << " (byte offset "
-                                 << 16 + i * sizeof(PackedEvent) << ")");
-    trace.push_back(TraceEvent{p.time_s, p.page, (p.flags & kFlagStart) != 0,
-                               (p.flags & kFlagWrite) != 0});
-  }
-  check_monotonic(trace);
-  return trace;
-}
-
-void read_binary_trace(std::istream& is, Trace& out) {
-  const std::vector<TraceEvent> events = read_binary_trace(is);
-  out.times.clear();
-  out.pages.clear();
-  out.flags.clear();
-  out.reserve(events.size());
-  for (const auto& e : events) out.push_back(e);
-}
 
 void write_csv_trace(std::ostream& os, const std::vector<TraceEvent>& trace) {
   os << "time_s,page,request_start,is_write\n";
@@ -170,28 +68,20 @@ std::vector<TraceEvent> read_csv_trace(std::istream& is) {
 
 void save_trace(const std::string& path,
                 const std::vector<TraceEvent>& trace) {
-  const bool csv = path.size() >= 4 && path.substr(path.size() - 4) == ".csv";
-  std::ofstream os(path, csv ? std::ios::out : std::ios::out | std::ios::binary);
+  std::ofstream os(path);
   JPM_CHECK_MSG(os.is_open(), "cannot open for writing: " + path);
-  if (csv) {
-    write_csv_trace(os, trace);
-  } else {
-    write_binary_trace(os, trace);
-  }
+  write_csv_trace(os, trace);
 }
 
 TraceFormat sniff_trace_format(std::istream& is, const std::string& name) {
   const std::istream::pos_type start = is.tellg();
-  char head[4] = {};
+  char head[kSniffBytes] = {};
   is.read(head, sizeof head);
   const std::streamsize got = is.gcount();
   is.clear();
   is.seekg(start);
   JPM_CHECK_MSG(got > 0, name + ": empty trace file");
-  if (got == 4 && std::memcmp(head, "JPMT", 4) == 0) {
-    return TraceFormat::kBinary;
-  }
-  if (got == 4 && std::memcmp(head, "JPMC", 4) == 0) {
+  if (got >= 4 && std::memcmp(head, "JPMC", 4) == 0) {
     return TraceFormat::kChunked;
   }
   // CSV starts with a header line or a bare timestamp — printable text
@@ -204,8 +94,8 @@ TraceFormat sniff_trace_format(std::istream& is, const std::string& name) {
     }
   }
   JPM_CHECK_MSG(text, name +
-                          ": unrecognized trace format (no JPMT/JPMC magic "
-                          "and not CSV text)");
+                          ": unrecognized trace format (no JPMC magic and "
+                          "not CSV text)");
   return TraceFormat::kCsv;
 }
 
@@ -213,8 +103,6 @@ std::vector<TraceEvent> load_trace(const std::string& path) {
   std::ifstream is(path, std::ios::in | std::ios::binary);
   JPM_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
   switch (sniff_trace_format(is, path)) {
-    case TraceFormat::kBinary:
-      return read_binary_trace(is);
     case TraceFormat::kCsv:
       return read_csv_trace(is);
     case TraceFormat::kChunked:

@@ -1,15 +1,12 @@
-// Trace persistence: save synthesized traces and load captured ones.
-//
-// Two formats live here:
-//   * binary ("JPMT" header + packed records) — compact, lossless round trip;
-//   * CSV ("time_s,page,request_start") — for interchange with external
-//     tooling and hand-captured disk-cache traces.
-// (The chunked, mmap-able "JPMC" format for large traces lives in
-// jpm/tracefile/; load_trace recognizes its magic and points there.)
-// Loading sniffs the format from the leading bytes — never the file
-// extension — so a misnamed file fails with a named format error instead of
-// a garbage parse, and validates monotonic timestamps, so a corrupted or
-// unsorted trace fails fast instead of corrupting a simulation.
+// Trace persistence for captured traces: CSV
+// ("time_s,page,request_start[,is_write]") for interchange with external
+// tooling and hand-captured disk-cache traces. (The chunked, mmap-able
+// "JPMC" format lives in jpm/tracefile/; load_trace recognizes its magic and
+// points there.) Loading sniffs the format from the leading bytes — never
+// the file extension — so a misnamed or binary file fails with a named
+// format error instead of a garbage parse, and validates monotonic
+// timestamps, so a corrupted or unsorted trace fails fast instead of
+// corrupting a simulation.
 #pragma once
 
 #include <iosfwd>
@@ -20,22 +17,11 @@
 
 namespace jpm::workload {
 
-void write_binary_trace(std::ostream& os, const std::vector<TraceEvent>& trace);
-std::vector<TraceEvent> read_binary_trace(std::istream& is);
-
-// SoA-lane forms: stream Trace lanes to/from the same binary format without
-// materializing an AoS copy. read_binary_trace(is, out) replaces out's event
-// lanes; the derived fields (page_bytes/total_pages/duration_s) are the
-// caller's to set — the trace format does not carry them.
-void write_binary_trace(std::ostream& os, const Trace& trace);
-void read_binary_trace(std::istream& is, Trace& out);
-
 void write_csv_trace(std::ostream& os, const std::vector<TraceEvent>& trace);
 std::vector<TraceEvent> read_csv_trace(std::istream& is);
 
 // On-disk trace flavors distinguishable from their leading bytes.
 enum class TraceFormat {
-  kBinary,   // "JPMT" magic (trace_io)
   kChunked,  // "JPMC" magic (jpm/tracefile)
   kCsv,      // printable text (header line or bare numbers)
 };
@@ -45,8 +31,7 @@ enum class TraceFormat {
 // format (e.g. a truncated or misnamed binary file).
 TraceFormat sniff_trace_format(std::istream& is, const std::string& name);
 
-// File-path conveniences. Saving picks the format by extension (".csv" =
-// CSV, anything else = JPMT binary); loading sniffs the content instead and
+// File-path conveniences. Saving writes CSV; loading sniffs the content and
 // rejects JPMC files with a pointer to jpm::tracefile (which owns the
 // chunked reader). Throw CheckError on IO failure or format mismatch.
 void save_trace(const std::string& path, const std::vector<TraceEvent>& trace);

@@ -292,4 +292,93 @@ TEST(CliTest, RunFromTraceFilesMatchesInMemoryStdout) {
   std::remove(file.c_str());
 }
 
+// A source location in a user-facing error means an internal check fired
+// where a named input error belongs.
+bool carries_source_location(const std::string& output) {
+  return output.find("JPM_CHECK") != std::string::npos ||
+         output.find(".cc:") != std::string::npos ||
+         output.find(".h:") != std::string::npos;
+}
+
+TEST(CliTest, RunRejectsHarnessOnlyScenariosByName) {
+  // These files configure bench harnesses and carry no always-on baseline:
+  // `jpm validate` accepts them, `jpm run` names the harness instead.
+  for (const std::string name : {"ext_pblru", "fig5_pareto", "fig9_timeline",
+                                 "micro", "models", "timeout_policies"}) {
+    SCOPED_TRACE(name);
+    const std::string path = kScenarios + "/" + name + ".json";
+    EXPECT_EQ(run_cmd(kCli + " validate " + path).exit_code, 0);
+    const auto r = run_cmd(kCli + " run " + path);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_EQ(r.output.rfind("error: $.roster: a non-cluster sweep needs "
+                             "exactly one always-on baseline",
+                             0),
+              0u)
+        << r.output;
+    EXPECT_NE(r.output.find("bench_" + name), std::string::npos) << r.output;
+    EXPECT_FALSE(carries_source_location(r.output)) << r.output;
+  }
+}
+
+TEST(CliTest, RunRejectsTracePagesPastTheDeclaredSize) {
+  // The file itself is well formed (pack and info --verify accept it), but
+  // page 500 lies outside the 100 pages its header declares.
+  const auto csv = write_temp("cli_out_of_range.csv",
+                              "time_s,page,request_start\n"
+                              "0.5,5,1\n1.0,500,1\n1.5,7,1\n");
+  const std::string packed = ::testing::TempDir() + "cli_out_of_range.jpmc";
+  const auto pack =
+      run_cmd(kCli + " trace pack " + csv + " " + packed +
+              " --total-pages=100 --page-bytes=262144 --duration=3600");
+  ASSERT_EQ(pack.exit_code, 0) << pack.output;
+  EXPECT_EQ(run_cmd(kCli + " trace info " + packed + " --verify").exit_code, 0);
+
+  std::ifstream in(demo_scenario());
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::string text = ss.str();
+  const std::string needle = "\"workload\": {";
+  const auto pos = text.find(needle);
+  ASSERT_NE(pos, std::string::npos);
+  text.insert(pos, "\"trace\": {\"path\": \"" + packed + "\"},\n      ");
+  const auto traced = write_temp("cli_out_of_range.json", text);
+
+  const auto r = run_cmd(kCli + " run " + traced);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error: run: event page 500 is outside the data "
+                          "set: the source declares 100 pages"),
+            std::string::npos)
+      << r.output;
+  EXPECT_FALSE(carries_source_location(r.output)) << r.output;
+  std::remove(packed.c_str());
+}
+
+TEST(CliTest, ServeRejectsPagesPastTheDataSet) {
+  const auto r = run_cmd(
+      "printf '{\"t\": 1, \"page\": 0}\\n"
+      "{\"t\": 2, \"page\": 999999999}\\n' | " +
+      kCli + " serve " + demo_scenario());
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error: serve: event page 999999999 is outside the "
+                          "data set: the source declares "),
+            std::string::npos)
+      << r.output;
+  EXPECT_FALSE(carries_source_location(r.output)) << r.output;
+}
+
+TEST(CliTest, TracePackRejectsRemovedJpmtFormatByName) {
+  // The legacy JPMT binary format: magic, u32 version, u64 record count.
+  std::string jpmt = "JPMT";
+  jpmt += std::string("\x02\x00\x00\x00", 4);
+  jpmt += std::string("\x01\x00\x00\x00\x00\x00\x00\x00", 8);
+  jpmt += std::string(24, '\0');
+  const auto path = write_temp("cli_legacy.jpmt", jpmt);
+  const auto r = run_cmd(kCli + " trace pack " + path + " " +
+                         ::testing::TempDir() + "cli_legacy.jpmc");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(path + ": unrecognized trace format"),
+            std::string::npos)
+      << r.output;
+}
+
 }  // namespace

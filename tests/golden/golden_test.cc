@@ -21,6 +21,19 @@ INSTANTIATE_TEST_SUITE_P(
     Scenarios, GoldenScenarioTest, testing::ValuesIn(pinned_scenarios()),
     [](const testing::TestParamInfo<std::string>& info) { return info.param; });
 
+// Every scenario file has a golden: its output, or the error `jpm run`
+// rejects it with.
+TEST(GoldenTest, EveryScenarioFileIsPinned) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(kScenarioDir)) {
+    if (entry.path().extension() == ".json") {
+      files.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, pinned_scenarios());
+}
+
 struct Schedule {
   const char* scenario;
   const char* threads;

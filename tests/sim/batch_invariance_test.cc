@@ -1,12 +1,14 @@
-// The replay batch size (EngineConfig::batch_size) is a pure throughput
-// knob: every batch size must produce bit-identical RunMetrics to the
-// classic per-event loop (batch 1), across every policy family, with
-// writes and flushes, with readahead (the re-probing batch mode), on
-// multi-disk arrays, and independent of JPM_THREADS.
+// Results are invariant to how a source batches its events into push_chunk
+// calls: pushing a trace in batches of any size must produce RunMetrics
+// bit-identical to one whole-trace push (run_simulation), across every
+// policy family, with writes and flushes, with readahead, on multi-disk
+// arrays, and independent of JPM_THREADS. Every source relies on this: the
+// stream daemon pushes ring drains, file replays push chunk windows, and
+// cluster servers push shard slices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,15 +30,29 @@ workload::SynthesizerConfig batch_workload(std::uint64_t seed) {
   return w;
 }
 
-EngineConfig batch_engine(std::uint32_t batch) {
+EngineConfig batch_engine() {
   EngineConfig e;
   e.joint.physical_bytes = gib(1);
   e.joint.unit_bytes = 16 * kMiB;
   e.joint.page_bytes = 64 * kKiB;
   e.joint.period_s = 300.0;
   e.warm_up_s = 300.0;
-  e.batch_size = batch;
   return e;
+}
+
+// Replays the trace into an engine in push_chunk calls of `batch` events.
+RunMetrics push_in_batches(const workload::Trace& trace,
+                           const PolicySpec& policy,
+                           const EngineConfig& config, std::size_t batch) {
+  Engine engine(
+      LiveSource{trace.page_bytes, trace.total_pages, trace.duration_s},
+      policy, config);
+  for (std::size_t i = 0; i < trace.size(); i += batch) {
+    engine.push_chunk(trace.times.data() + i, trace.pages.data() + i,
+                      trace.flags.data() + i,
+                      std::min(batch, trace.size() - i));
+  }
+  return engine.finish(trace.duration_s);
 }
 
 std::vector<PolicySpec> six_policy_roster() {
@@ -81,65 +97,65 @@ void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
   }
 }
 
-// Batch sizes straddling the interesting edges: the classic loop, a batch
-// that never divides the event count evenly, the default, and one larger
-// than most boundary-to-boundary runs.
-const std::uint32_t kBatches[] = {1, 7, 64, 256};
+// Batch sizes straddling the interesting edges: one event per push, a batch
+// that never divides the event count evenly, the stream daemon's drain
+// sizes, and one larger than most boundary-to-boundary runs.
+const std::size_t kBatches[] = {1, 7, 64, 256, 4096};
 
 TEST(BatchInvarianceTest, SixPoliciesBitIdenticalAcrossBatchSizes) {
   const auto trace = workload::synthesize_trace(batch_workload(7));
   for (const auto& policy : six_policy_roster()) {
     SCOPED_TRACE(policy.name);
-    const auto reference = run_simulation(trace, policy, batch_engine(1));
-    for (std::uint32_t batch : kBatches) {
+    const auto reference = run_simulation(trace, policy, batch_engine());
+    for (const std::size_t batch : kBatches) {
       SCOPED_TRACE("batch " + std::to_string(batch));
-      expect_bit_identical(reference,
-                           run_simulation(trace, policy, batch_engine(batch)));
+      expect_bit_identical(
+          reference, push_in_batches(trace, policy, batch_engine(), batch));
     }
   }
 }
 
 TEST(BatchInvarianceTest, ReadaheadReprobingModeIsBatchInvariant) {
-  // readahead > 0 evicts without a live tracker slot, so batches re-probe
-  // per event instead of caching entry pointers — still bit-identical.
+  // Readahead installs pages the trace never touched, and without a tracker
+  // eviction erases page-table entries (relocating their neighbours), so
+  // every event re-probes the table instead of holding entry pointers.
   const auto trace = workload::synthesize_trace(batch_workload(11));
   const auto policy = fixed_policy(DiskPolicyKind::kTwoCompetitive, mib(64));
-  auto reference_engine = batch_engine(1);
-  reference_engine.readahead_pages = 2;
-  const auto reference = run_simulation(trace, policy, reference_engine);
-  for (std::uint32_t batch : kBatches) {
+  auto engine = batch_engine();
+  engine.readahead_pages = 2;
+  const auto reference = run_simulation(trace, policy, engine);
+  for (const std::size_t batch : kBatches) {
     SCOPED_TRACE("batch " + std::to_string(batch));
-    auto engine = batch_engine(batch);
-    engine.readahead_pages = 2;
-    expect_bit_identical(reference, run_simulation(trace, policy, engine));
+    expect_bit_identical(reference,
+                         push_in_batches(trace, policy, engine, batch));
   }
 }
 
 TEST(BatchInvarianceTest, MultiDiskArrayIsBatchInvariant) {
   const auto trace = workload::synthesize_trace(batch_workload(13));
-  auto reference_engine = batch_engine(1);
-  reference_engine.disk_count = 4;
-  const auto reference =
-      run_simulation(trace, joint_policy(), reference_engine);
-  for (std::uint32_t batch : kBatches) {
+  auto engine = batch_engine();
+  engine.disk_count = 4;
+  const auto reference = run_simulation(trace, joint_policy(), engine);
+  for (const std::size_t batch : kBatches) {
     SCOPED_TRACE("batch " + std::to_string(batch));
-    auto engine = batch_engine(batch);
-    engine.disk_count = 4;
     expect_bit_identical(reference,
-                         run_simulation(trace, joint_policy(), engine));
+                         push_in_batches(trace, joint_policy(), engine, batch));
   }
 }
 
 TEST(BatchInvarianceTest, ThreadCountDoesNotInteractWithBatching) {
-  const auto points = std::vector<
-      std::pair<std::string, workload::SynthesizerConfig>>{
-      {"128MB", batch_workload(7)}};
-  auto sweep_at = [&](const char* threads, std::uint32_t batch) {
+  // A sweep at any thread count equals each policy pushed alone in
+  // 256-event batches.
+  const auto w = batch_workload(7);
+  const auto points =
+      std::vector<std::pair<std::string, workload::SynthesizerConfig>>{
+          {"128MB", w}};
+  auto sweep_at = [&](const char* threads) {
     const char* old = std::getenv("JPM_THREADS");
     const std::string saved = old ? old : "";
     const bool had_old = old != nullptr;
     ::setenv("JPM_THREADS", threads, 1);
-    auto out = run_sweep(points, six_policy_roster(), batch_engine(batch));
+    auto out = run_sweep(points, six_policy_roster(), batch_engine());
     if (had_old) {
       ::setenv("JPM_THREADS", saved.c_str(), 1);
     } else {
@@ -147,29 +163,19 @@ TEST(BatchInvarianceTest, ThreadCountDoesNotInteractWithBatching) {
     }
     return out;
   };
-  const auto serial_classic = sweep_at("1", 1);
+  const auto trace = workload::synthesize_trace(w);
+  const auto roster = six_policy_roster();
   for (const auto* threads : {"1", "8"}) {
-    const auto batched = sweep_at(threads, 256);
-    ASSERT_EQ(serial_classic.size(), batched.size());
-    for (std::size_t i = 0; i < serial_classic.size(); ++i) {
-      SCOPED_TRACE(std::string("threads ") + threads);
-      expect_bit_identical(serial_classic[i].baseline, batched[i].baseline);
-      ASSERT_EQ(serial_classic[i].outcomes.size(), batched[i].outcomes.size());
-      for (std::size_t j = 0; j < serial_classic[i].outcomes.size(); ++j) {
-        expect_bit_identical(serial_classic[i].outcomes[j].metrics,
-                             batched[i].outcomes[j].metrics);
-      }
+    SCOPED_TRACE(std::string("threads ") + threads);
+    const auto swept = sweep_at(threads);
+    ASSERT_EQ(swept.size(), 1u);
+    ASSERT_EQ(swept[0].outcomes.size(), roster.size());
+    for (std::size_t j = 0; j < roster.size(); ++j) {
+      expect_bit_identical(
+          push_in_batches(trace, roster[j], batch_engine(), 256),
+          swept[0].outcomes[j].metrics);
     }
   }
-}
-
-TEST(BatchInvarianceTest, BatchSizeIsValidated) {
-  const auto w = batch_workload(7);
-  EXPECT_THROW(run_simulation(w, always_on_policy(), batch_engine(0)),
-               std::invalid_argument);
-  EXPECT_THROW(run_simulation(w, always_on_policy(), batch_engine(65537)),
-               std::invalid_argument);
-  EXPECT_NO_THROW(run_simulation(w, always_on_policy(), batch_engine(65536)));
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "jpm/sim/runner.h"
 #include "jpm/util/check.h"
@@ -191,9 +194,11 @@ TEST(EngineTest, PeriodRecordsCoverRun) {
 }
 
 TEST(EngineTest, RunIsSingleShot) {
-  Engine engine(small_workload(), fm(mib(128)), small_engine());
-  engine.run();
-  EXPECT_THROW(engine.run(), CheckError);
+  const auto w = small_workload();
+  Engine engine(LiveSource{w.page_bytes, workload::total_pages(w), 0.0},
+                fm(mib(128)), small_engine());
+  engine.finish(w.duration_s);
+  EXPECT_THROW(engine.finish(w.duration_s), CheckError);
 }
 
 TEST(EngineTest, RejectsWarmUpBeyondDuration) {
@@ -340,12 +345,11 @@ TEST(EngineTest, ReplayMatchesSynthesizedRun) {
   const auto direct = run_simulation(w, fm(mib(128)), e);
 
   workload::TraceGenerator gen(w);
-  ReplayTrace trace;
-  trace.page_bytes = w.page_bytes;
-  trace.total_pages = gen.total_pages();
-  trace.duration_s = w.duration_s;
-  while (auto ev = gen.next()) trace.events.push_back(*ev);
-  const auto replayed = replay_simulation(std::move(trace), fm(mib(128)), e);
+  std::vector<workload::TraceEvent> events;
+  while (auto ev = gen.next()) events.push_back(*ev);
+  const auto trace = workload::trace_from_events(
+      events, w.page_bytes, gen.total_pages(), w.duration_s);
+  const auto replayed = run_simulation(trace, fm(mib(128)), e);
 
   EXPECT_EQ(replayed.cache_accesses, direct.cache_accesses);
   EXPECT_EQ(replayed.disk_accesses, direct.disk_accesses);
@@ -355,20 +359,25 @@ TEST(EngineTest, ReplayMatchesSynthesizedRun) {
 
 TEST(EngineTest, ReplayRejectsBadTraces) {
   const auto e = small_engine();
-  ReplayTrace empty;
-  EXPECT_THROW(replay_simulation(std::move(empty), fm(mib(128)), e),
+  const auto trace = [](std::vector<workload::TraceEvent> events,
+                        std::uint64_t total_pages) {
+    return workload::trace_from_events(events, 64 * kKiB, total_pages, 0.0);
+  };
+  EXPECT_THROW(run_simulation(trace({}, 0), fm(mib(128)), e), CheckError);
+  EXPECT_THROW(run_simulation(trace({{2.0, 1, true}, {1.0, 2, true}}, 0),
+                              fm(mib(128)), e),
                CheckError);
 
-  ReplayTrace unsorted;
-  unsorted.events = {{2.0, 1, true}, {1.0, 2, true}};
-  EXPECT_THROW(replay_simulation(std::move(unsorted), fm(mib(128)), e),
-               CheckError);
-
-  ReplayTrace overflow;
-  overflow.events = {{1.0, 100, true}};
-  overflow.total_pages = 50;  // page 100 out of range
-  EXPECT_THROW(replay_simulation(std::move(overflow), fm(mib(128)), e),
-               CheckError);
+  // Page 100 of a 50-page data set: rejected by the engine's page check,
+  // which names the page and the declared size.
+  try {
+    run_simulation(trace({{1.0, 100, true}}, 50), fm(mib(128)), e);
+    ADD_FAILURE() << "out-of-range page accepted";
+  } catch (const std::out_of_range& err) {
+    EXPECT_EQ(std::string(err.what()),
+              "event page 100 is outside the data set: the source declares "
+              "50 pages");
+  }
 }
 
 TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {

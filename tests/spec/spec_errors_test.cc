@@ -266,20 +266,6 @@ TEST(SpecValidateTest, GeometryErrorsNameEngineKeys) {
             "whole number of pages");
 }
 
-TEST(SpecValidateTest, BatchSizeBoundsNameTheEngineKey) {
-  Scenario sc = valid_scenario();
-  sc.engine.batch_size = 0;
-  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
-            "$.engine.batch_size: batch_size must be in [1, 65536]");
-
-  sc.engine.batch_size = 65537;
-  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
-            "$.engine.batch_size: batch_size must be in [1, 65536]");
-
-  sc.engine.batch_size = 65536;
-  EXPECT_NO_THROW(validate_scenario(sc));
-}
-
 TEST(SpecValidateTest, ComponentValidateMessagesKeepTheirPath) {
   Scenario sc = valid_scenario();
   sc.workloads[0].workload.duration_s = 0.0;

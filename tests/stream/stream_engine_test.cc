@@ -3,7 +3,7 @@
 // The two headline claims of the streaming core, checked exactly:
 //
 //   * Differential: pushing a synthesized trace through the push-mode path
-//     (offer -> ring -> pump -> Engine::push_chunk) yields RunMetrics
+//     (offer -> ring -> pump -> the engine's push_chunk) yields RunMetrics
 //     bit-identical to replaying the same trace, when nothing is shed.
 //   * Determinism: driven lock-step from one thread, every overload outcome
 //     (shed counters, degraded period flags, watchdog closes, forced
@@ -140,7 +140,7 @@ RunMetrics stream_whole_trace(const workload::Trace& trace,
     }
   }
   se.close();
-  // Close at the declared duration, exactly as Engine::run does for a
+  // Close at the declared duration, exactly as run_simulation does for a
   // replay (the synthesizer may emit its final event a hair past it).
   RunMetrics m = se.finish_at(trace.duration_s);
   const StreamStats s = se.stats();
@@ -366,6 +366,32 @@ TEST(StreamEngineTest, ForcedPeriodCloseProducesCleanBoundaries) {
   EXPECT_EQ(m.periods[1].end_s, 120.0);
   EXPECT_EQ(m.periods[1].cache_accesses, 0u);
   EXPECT_EQ(m.duration_s, 120.0);
+}
+
+TEST(StreamEngineTest, OutOfRangePageFailsNamingPageAndDeclaredSize) {
+  // A live source declares its data-set size up front; the engine's page
+  // check rejects an event past it when the event is pumped.
+  sim::LiveSource src;
+  src.page_bytes = 64 * kKiB;
+  src.total_pages = 1024;
+  StreamConfig cfg;
+  cfg.ring_capacity = 64;
+  cfg.watchdog_timeout_s = 0.0;
+  StreamEngine se(src, sim::joint_policy(), stream_engine_config(), cfg);
+
+  StreamEvent e;
+  e.time_s = 1.0;
+  e.page = 1024;
+  e.flags = workload::kTraceFlagStart;
+  ASSERT_TRUE(se.offer(e));
+  try {
+    se.pump();
+    ADD_FAILURE() << "out-of-range page accepted";
+  } catch (const std::out_of_range& err) {
+    EXPECT_EQ(std::string(err.what()),
+              "event page 1024 is outside the data set: the source declares "
+              "1024 pages");
+  }
 }
 
 TEST(StreamEngineTest, BlockPolicyWithZeroTimeoutShedsDeterministically) {

@@ -14,8 +14,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fenwick.h"
 #include "jpm/cache/stack_distance.h"
-#include "jpm/util/fenwick.h"
 #include "jpm/util/rng.h"
 
 namespace jpm {

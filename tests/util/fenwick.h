@@ -1,7 +1,8 @@
 // Fenwick (binary indexed) tree over a fixed-size array of integer counts.
 //
-// Used by the LRU stack-distance tracker (Bennett–Kruskal algorithm): one slot
-// per access timestamp, prefix sums give "number of distinct pages referenced
+// The differential reference for util::CounterTree, which replaced it under
+// the stack-distance tracker (Bennett–Kruskal algorithm): one slot per
+// access timestamp, prefix sums give "number of distinct pages referenced
 // since time t" in O(log n).
 #pragma once
 
@@ -9,9 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "jpm/util/arena.h"
 #include "jpm/util/check.h"
-#include "jpm/util/prefetch.h"
 
 namespace jpm {
 
@@ -19,11 +18,6 @@ class FenwickTree {
  public:
   FenwickTree() = default;
   explicit FenwickTree(std::size_t size) : tree_(size + 1, 0) {}
-  // Arena-backed node storage (util/arena.h): the tree then lives next to
-  // the rest of the hot-path working set. Capacity only ever grows, so the
-  // arena waste from resizes is geometrically bounded.
-  FenwickTree(std::size_t size, util::Arena* arena)
-      : tree_(size + 1, 0, util::ArenaAllocator<std::int64_t>(arena)) {}
 
   std::size_t size() const { return tree_.empty() ? 0 : tree_.size() - 1; }
 
@@ -43,20 +37,6 @@ class FenwickTree {
       const std::size_t hi_ones = k < ones ? k : ones;
       tree_[k] = lo < hi_ones ? static_cast<std::int64_t>(hi_ones - lo) : 0;
     }
-  }
-
-  // Hints the first nodes of position i's add/prefix chains into cache.
-  // Advisory only; out-of-range positions are ignored, so callers may pass
-  // predicted future positions.
-  void prefetch(std::size_t i) const {
-    const std::size_t k = i + 1;
-    if (k >= tree_.size()) return;
-    util::prefetch_read(&tree_[k]);
-    // Second chain level: the add chain ascends to k + (k & -k), the prefix
-    // chain descends to k - (k & -k); one covers the other's line often
-    // enough that hinting both low levels is what pays.
-    const std::size_t up = k + (k & (~k + 1));
-    if (up < tree_.size()) util::prefetch_read(&tree_[up]);
   }
 
   // Adds delta at 0-based position i.
@@ -86,7 +66,7 @@ class FenwickTree {
   std::int64_t total() const { return size() == 0 ? 0 : prefix_sum(size() - 1); }
 
  private:
-  std::vector<std::int64_t, util::ArenaAllocator<std::int64_t>> tree_;
+  std::vector<std::int64_t> tree_;
 };
 
 }  // namespace jpm

@@ -4,12 +4,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "jpm/tracefile/reader.h"
+#include "jpm/tracefile/writer.h"
 #include "jpm/util/check.h"
 #include "jpm/workload/synthesizer.h"
 
@@ -23,19 +24,6 @@ std::vector<TraceEvent> sample_trace() {
       {1.25, 7, true},
       {9.75, 100, true},
   };
-}
-
-TEST(TraceIoTest, BinaryRoundTrip) {
-  std::stringstream ss;
-  write_binary_trace(ss, sample_trace());
-  const auto loaded = read_binary_trace(ss);
-  const auto original = sample_trace();
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded[i].time_s, original[i].time_s);
-    EXPECT_EQ(loaded[i].page, original[i].page);
-    EXPECT_EQ(loaded[i].request_start, original[i].request_start);
-  }
 }
 
 TEST(TraceIoTest, CsvRoundTrip) {
@@ -52,92 +40,71 @@ TEST(TraceIoTest, CsvRoundTrip) {
 }
 
 TEST(TraceIoTest, EmptyTraceRoundTrips) {
-  std::stringstream bin, csv;
-  write_binary_trace(bin, std::vector<TraceEvent>{});
-  EXPECT_TRUE(read_binary_trace(bin).empty());
+  std::stringstream csv;
   write_csv_trace(csv, std::vector<TraceEvent>{});
   EXPECT_TRUE(read_csv_trace(csv).empty());
 }
 
+// Binary input that is not JPMC — random bytes, or a file in the removed
+// JPMT format (magic, u32 version, u64 count, 24-byte records) — fails the
+// format sniff with a named error instead of a garbage CSV parse.
+std::string jpmt_header() {
+  std::string bytes = "JPMT";
+  const std::uint32_t version = 2;
+  const std::uint64_t count = 4;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof version);
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof count);
+  return bytes;
+}
+
+std::string write_temp(const std::string& name, const std::string& bytes) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::ofstream f(path, std::ios::binary);
+  f << bytes;
+  return path;
+}
+
+std::string load_error(const std::string& path) {
+  try {
+    load_trace(path);
+    return "";
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+}
+
 TEST(TraceIoTest, RejectsGarbageBinary) {
-  std::stringstream ss;
-  ss << "definitely not a trace";
-  EXPECT_THROW(read_binary_trace(ss), CheckError);
+  for (const std::string& bytes :
+       {std::string("\x01\x02\xff garbage bytes", 17), jpmt_header()}) {
+    const std::string path = write_temp("jpm_garbage.bin", bytes);
+    EXPECT_NE(load_error(path).find(path + ": unrecognized trace format"),
+              std::string::npos)
+        << load_error(path);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TraceIoTest, RejectsTruncatedBinary) {
-  std::stringstream ss;
-  write_binary_trace(ss, sample_trace());
-  std::string data = ss.str();
-  data.resize(data.size() - 10);
-  std::stringstream truncated(data);
-  EXPECT_THROW(read_binary_trace(truncated), CheckError);
-}
-
-TEST(TraceIoTest, RejectsCorruptHeaderCountBeforeAllocating) {
-  // Declare an absurd record count over a tiny body: the reader must reject
-  // it from the header bounds check (naming both counts), not attempt a
-  // multi-gigabyte reserve or a long truncation loop.
-  std::stringstream ss;
-  write_binary_trace(ss, sample_trace());
-  std::string data = ss.str();
-  const std::uint64_t huge = 1ull << 60;
-  std::memcpy(data.data() + 8, &huge, sizeof huge);  // count field at byte 8
-  std::stringstream corrupt(data);
+  // The binary format that remains is JPMC: a file cut short fails in the
+  // tracefile reader with the defect named, never as a CSV parse.
+  std::ostringstream os;
+  {
+    tracefile::TraceWriter writer(os, 64 * kKiB, 128, 10.0);
+    for (const auto& e : sample_trace()) writer.append(e);
+    writer.finish();
+  }
+  std::string bytes = os.str();
+  bytes.resize(bytes.size() - 10);
+  const std::string path = write_temp("jpm_truncated.jpmc", bytes);
   try {
-    read_binary_trace(corrupt);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("corrupt trace header"), std::string::npos);
-    EXPECT_NE(what.find(std::to_string(huge)), std::string::npos);
-    EXPECT_NE(what.find("only 4 fit"), std::string::npos);
+    tracefile::load_any_trace(path);
+    ADD_FAILURE() << "expected a truncation error";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
   }
-}
-
-// Streams that cannot seek (pipes, sockets) skip the header bounds
-// pre-check and rely on the per-record truncation error instead.
-struct NonSeekableBuf : std::stringbuf {
-  explicit NonSeekableBuf(const std::string& s)
-      : std::stringbuf(s, std::ios::in) {}
-
- protected:
-  pos_type seekoff(off_type, std::ios_base::seekdir,
-                   std::ios_base::openmode) override {
-    return pos_type(off_type(-1));
-  }
-};
-
-TEST(TraceIoTest, TruncationErrorNamesRecordAndByteOffset) {
-  std::stringstream ss;
-  write_binary_trace(ss, sample_trace());
-  std::string data = ss.str();
-  data.resize(16 + 2 * 24 + 5);  // header + 2 whole records + a partial third
-  NonSeekableBuf buf(data);
-  std::istream truncated(&buf);
-  try {
-    read_binary_trace(truncated);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("record 2 of 4"), std::string::npos);
-    EXPECT_NE(what.find("byte offset 64"), std::string::npos);  // 16 + 2*24
-  }
-}
-
-TEST(TraceIoTest, RejectsUnsupportedVersionNamingIt) {
-  std::stringstream ss;
-  write_binary_trace(ss, sample_trace());
-  std::string data = ss.str();
-  const std::uint32_t bogus = 99;
-  std::memcpy(data.data() + 4, &bogus, sizeof bogus);  // version at byte 4
-  std::stringstream wrong(data);
-  try {
-    read_binary_trace(wrong);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("99"), std::string::npos);
-  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceIoTest, RejectsMalformedCsv) {
@@ -162,6 +129,10 @@ TEST(TraceIoTest, CsvHeaderIsOptional) {
 }
 
 TEST(TraceIoTest, FileRoundTripBothFormats) {
+  // The two on-disk formats: CSV through save_trace/load_trace, JPMC
+  // through the chunked writer, both read back by load_any_trace (the
+  // `jpm trace pack` ingestion path), which sniffs rather than trusting the
+  // extension.
   namespace fs = std::filesystem;
   const auto dir = fs::temp_directory_path();
   SynthesizerConfig cfg;
@@ -172,19 +143,27 @@ TEST(TraceIoTest, FileRoundTripBothFormats) {
   const auto trace = synthesize(cfg);
   ASSERT_FALSE(trace.empty());
 
-  for (const char* name : {"jpm_trace_test.jpmt", "jpm_trace_test.csv"}) {
-    const std::string path = (dir / name).string();
-    save_trace(path, trace);
-    const auto loaded = load_trace(path);
+  const std::string csv = (dir / "jpm_trace_test.dat").string();
+  save_trace(csv, trace);
+  const std::string jpmc = (dir / "jpm_trace_test.jpmc").string();
+  {
+    std::ofstream os(jpmc, std::ios::binary);
+    tracefile::TraceWriter writer(os, cfg.page_bytes, 1024, cfg.duration_s);
+    for (const auto& e : trace) writer.append(e);
+    writer.finish();
+  }
+  EXPECT_EQ(load_trace(csv).size(), trace.size());
+  for (const std::string& path : {csv, jpmc}) {
+    const auto loaded = tracefile::load_any_trace(path);
     ASSERT_EQ(loaded.size(), trace.size()) << path;
-    EXPECT_EQ(loaded.front().page, trace.front().page);
-    EXPECT_EQ(loaded.back().page, trace.back().page);
+    EXPECT_EQ(loaded.pages.front(), trace.front().page);
+    EXPECT_EQ(loaded.pages.back(), trace.back().page);
     std::remove(path.c_str());
   }
 }
 
 TEST(TraceIoTest, MissingFileThrows) {
-  EXPECT_THROW(load_trace("/nonexistent/path/trace.jpmt"), CheckError);
+  EXPECT_THROW(load_trace("/nonexistent/path/trace.csv"), CheckError);
 }
 
 // ---- format sniffing -------------------------------------------------------
@@ -201,16 +180,12 @@ std::string sniff_error(const std::string& content) {
 }
 
 TEST(TraceIoTest, SniffsEveryKnownFormat) {
-  std::stringstream bin;
-  write_binary_trace(bin, sample_trace());
-  EXPECT_EQ(sniff_trace_format(bin, "t"), TraceFormat::kBinary);
-  EXPECT_EQ(read_binary_trace(bin).size(), 4u);  // stream position restored
-
   std::stringstream chunked("JPMC" + std::string(60, '\0'));
   EXPECT_EQ(sniff_trace_format(chunked, "t"), TraceFormat::kChunked);
 
   std::stringstream csv("time_s,page,request_start\n0.5,100,1\n");
   EXPECT_EQ(sniff_trace_format(csv, "t"), TraceFormat::kCsv);
+  EXPECT_EQ(read_csv_trace(csv).size(), 1u);  // stream position restored
   std::stringstream headerless("0.5,100,1\n");
   EXPECT_EQ(sniff_trace_format(headerless, "t"), TraceFormat::kCsv);
 }
@@ -224,7 +199,7 @@ TEST(TraceIoTest, SniffNamesUnrecognizedAndEmptyInputs) {
 
 TEST(TraceIoTest, LoadTraceRefusesChunkedFilesByName) {
   // A JPMC file needs the tracefile reader; load_trace names the right tool
-  // instead of misparsing the header as JPMT records.
+  // instead of misparsing the header as CSV.
   const std::string path =
       (std::filesystem::temp_directory_path() / "jpm_sniff.jpmc").string();
   std::ofstream f(path, std::ios::binary);
