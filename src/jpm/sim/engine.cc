@@ -719,8 +719,6 @@ Engine::Engine(const LiveSource& source, const PolicySpec& policy,
                const EngineConfig& config)
     : impl_(std::make_unique<Impl>(source, policy, config)) {}
 Engine::~Engine() = default;
-Engine::Engine(Engine&&) noexcept = default;
-Engine& Engine::operator=(Engine&&) noexcept = default;
 
 void Engine::push_chunk(const double* times, const std::uint64_t* pages,
                         const std::uint8_t* flags, std::size_t n) {

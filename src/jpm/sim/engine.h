@@ -66,8 +66,6 @@ class Engine {
   Engine(const LiveSource& source, const PolicySpec& policy,
          const EngineConfig& config);
   ~Engine();
-  Engine(Engine&&) noexcept;
-  Engine& operator=(Engine&&) noexcept;
 
   // Feeds events over SoA lanes, one at a time through the per-event loop.
   // Events must arrive with nondecreasing timestamps and pages below the
