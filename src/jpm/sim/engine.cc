@@ -457,6 +457,9 @@ struct Engine::Impl {
 
   // ---- main loop ----------------------------------------------------------
 
+  // Every source's page-range check. Out of line, so the per-event loop
+  // carries only the compare; the message names no source location
+  // because the input, not the engine, is at fault.
   [[noreturn]] void reject_page(std::uint64_t page) const {
     throw std::out_of_range("event page " + std::to_string(page) +
                             " is outside the data set: the source declares " +
@@ -474,11 +477,12 @@ struct Engine::Impl {
     ++metrics.cache_accesses;
     ++period_cache_accesses;
     // A telemetry session records spin-down markers the moment a timeout
-    // expires; keep the per-event advance in that mode so the event stream
-    // orders exactly as before (session-wide, not per-run: TELEM_EVENT
-    // fires even on threads outside any ScopedRun). Metrics never need it:
-    // spin-downs are stamped at their expiry time and every state read
-    // (read(), energy_through(), finalize()) advances internally first.
+    // expires; advance the disk per event in that mode so those markers
+    // land in the event stream in simulated-time order (session-wide, not
+    // per-run: TELEM_EVENT fires even on threads outside any ScopedRun).
+    // Metrics never need it: spin-downs are stamped at their expiry time
+    // and every state read (read(), energy_through(), finalize()) advances
+    // internally first.
     if (telemetry::enabled()) disk->advance(t);
     cache::PageEntry* entry = page_table.find_or_insert(page);
     if (tracker) {
