@@ -1,6 +1,5 @@
-// Google-benchmark microbenches for the simulator's hot kernels: page-table
-// probes (util::FlatMap vs the std::unordered_map it replaced), LRU cache
-// operations, the Fenwick stack-distance tracker, the idle-interval sweep,
+// Google-benchmark microbenches for the simulator's hot kernels: LRU cache
+// operations, the stack-distance tracker, the idle-interval sweep,
 // Pareto fitting, trace synthesis throughput, the workload-model build (file
 // set + popularity solve) at scenario shape, single-policy engine replay —
 // the perf baseline for the sweep hot loop — the TaskPool scheduler under
@@ -21,14 +20,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "jpm/cache/idle_sweep.h"
 #include "jpm/cache/lru_cache.h"
 #include "jpm/cache/stack_distance.h"
 #include "jpm/util/arena.h"
-#include "jpm/util/flat_map.h"
 #include "jpm/util/json.h"
 #include "jpm/pareto/pareto.h"
 #include "jpm/sim/engine.h"
@@ -48,107 +45,6 @@
 namespace jpm {
 namespace {
 
-// Distinct keys (odd multiplier is injective mod 2^64), inserted in
-// generation order but *visited* in an unrelated shuffled order. The
-// decorrelation matters: visiting in insertion order would let a node-based
-// map serve its nodes from the hardware prefetcher (they were allocated
-// sequentially), which no real page-access pattern provides.
-std::vector<std::uint64_t> map_bench_keys(std::size_t n) {
-  std::vector<std::uint64_t> keys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = i * 0x2545f4914f6cdd1dull + 1;
-  }
-  return keys;
-}
-
-std::vector<std::uint32_t> map_bench_visit_order(std::size_t n) {
-  std::vector<std::uint32_t> visit(n);
-  for (std::size_t i = 0; i < n; ++i) visit[i] = static_cast<std::uint32_t>(i);
-  Rng rng(7);
-  for (std::size_t i = n; i > 1; --i) {
-    std::swap(visit[i - 1], visit[rng.uniform_index(i)]);
-  }
-  return visit;
-}
-
-// Point lookups at steady state: every probe hits. This is the page-table
-// operation the engine pays once per trace event.
-void BM_FlatMapLookup(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto keys = map_bench_keys(n);
-  const auto visit = map_bench_visit_order(n);
-  util::FlatMap<std::uint32_t> map;
-  for (std::size_t i = 0; i < n; ++i) {
-    *map.find_or_insert(keys[i]) = static_cast<std::uint32_t>(i);
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find(keys[visit[i]]));
-    if (++i == n) i = 0;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatMapLookup)->Arg(1 << 20);
-
-void BM_UnorderedMapLookup(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto keys = map_bench_keys(n);
-  const auto visit = map_bench_visit_order(n);
-  std::unordered_map<std::uint64_t, std::uint32_t> map;
-  map.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    map[keys[i]] = static_cast<std::uint32_t>(i);
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find(keys[visit[i]]));
-    if (++i == n) i = 0;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_UnorderedMapLookup)->Arg(1 << 20);
-
-// Insert+erase churn at full occupancy: a sliding window over the key
-// universe, the pattern a standalone (non-joint) cache's table sees when
-// every miss inserts a page and evicts another.
-void BM_FlatMapChurn(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  util::FlatMap<std::uint32_t> map;
-  map.reserve(n);
-  std::uint64_t head = 0;
-  for (; head < n; ++head) {
-    *map.find_or_insert(head * 0x2545f4914f6cdd1dull + 1) = 0;
-  }
-  std::uint64_t tail = 0;
-  for (auto _ : state) {
-    *map.find_or_insert(head * 0x2545f4914f6cdd1dull + 1) = 0;
-    map.erase(tail * 0x2545f4914f6cdd1dull + 1);
-    ++head;
-    ++tail;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatMapChurn)->Arg(1 << 20);
-
-void BM_UnorderedMapChurn(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::unordered_map<std::uint64_t, std::uint32_t> map;
-  map.reserve(n);
-  std::uint64_t head = 0;
-  for (; head < n; ++head) {
-    map[head * 0x2545f4914f6cdd1dull + 1] = 0;
-  }
-  std::uint64_t tail = 0;
-  for (auto _ : state) {
-    map[head * 0x2545f4914f6cdd1dull + 1] = 0;
-    map.erase(tail * 0x2545f4914f6cdd1dull + 1);
-    ++head;
-    ++tail;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_UnorderedMapChurn)->Arg(1 << 20);
-
 // LRU single-operation baselines bracketing BM_LruCacheAccess's mix: a pure
 // resident-page hit (one probe + list splice) and a pure miss at capacity
 // (probe + evict + insert).
@@ -163,12 +59,16 @@ void BM_LruLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_LruLookupHit);
 
+// Pages cycle through 2^16 ids, four times the capacity: each insert's page
+// was evicted long ago, and the dense page table stays at 2^16 entries
+// instead of growing with the iteration count.
 void BM_LruInsertEvict(benchmark::State& state) {
   cache::LruCache cache(cache::LruCacheOptions{1 << 16, 64, 1 << 14});
   std::uint64_t next = 0;
   for (; next < (1 << 14); ++next) cache.insert(next);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.insert(next++));
+    benchmark::DoNotOptimize(cache.insert(next));
+    next = (next + 1) & ((1 << 16) - 1);
   }
   state.SetItemsProcessed(state.iterations());
 }

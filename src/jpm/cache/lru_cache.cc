@@ -28,7 +28,6 @@ LruCache::LruCache(const LruCacheOptions& options, PageTable* shared)
     owned_table_ = std::make_unique<PageTable>();
     table_ = owned_table_.get();
   }
-  table_->reserve(options.capacity_frames);
 }
 
 std::optional<AccessOutcome> LruCache::lookup(PageId page) {
@@ -42,8 +41,6 @@ InsertOutcome LruCache::insert(PageId page) {
   InsertOutcome out;
   if (size_ >= capacity_) {
     out.evicted = true;
-    // Evict before resolving `page`'s entry: a physical erase may relocate
-    // entries within the flat table.
     evict_lru(&out.evicted_page, &out.evicted_dirty);
   }
   const FrameIndex f = allocate_frame();
@@ -197,15 +194,7 @@ void LruCache::remove_frame(FrameIndex f) {
   unlink(f);
   PageEntry* e = table_->find(n.page);
   JPM_DCHECK(e != nullptr && e->frame == f);
-  if (e->slot == kNoSlot) {
-    // No other half alive: drop the entry entirely (standalone caches keep
-    // the table at resident-set size this way).
-    table_->erase(n.page);
-  } else {
-    // A stack-distance slot still references this page; keep the entry and
-    // vacate only the residency half.
-    e->frame = kNoFrame;
-  }
+  e->frame = kNoFrame;
   n.occupied = false;
   if (n.dirty) {
     n.dirty = false;

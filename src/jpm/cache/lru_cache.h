@@ -10,13 +10,11 @@
 // Frame allocation prefers banks that already hold pages, so unused banks can
 // stay in deep low-power modes.
 //
-// Residency (page -> frame) lives in a PageTable — an open-addressing flat
-// map — as the `frame` half of each PageEntry. By default the cache owns a
+// Residency (page -> frame) lives in a PageTable — dense per-page entries —
+// as the `frame` half of each PageEntry. By default the cache owns a
 // private table; the engine instead passes the table it shares with its
-// stack-distance tracker, so one probe per access resolves both. In shared
-// mode an evicted page whose entry still carries a tracker slot keeps its
-// entry (with frame = kNoFrame); the entry is physically erased only when
-// both halves are vacant.
+// stack-distance tracker, so one lookup per access resolves both. An
+// eviction only clears the victim's `frame` half.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +64,7 @@ class LruCache {
   std::optional<AccessOutcome> lookup(PageId page);
 
   // The fused hot path: promotes an already-resolved resident frame (a
-  // PageEntry's non-kNoFrame `frame` half) to MRU. No hash probe happens;
+  // PageEntry's non-kNoFrame `frame` half) to MRU. No table lookup happens;
   // inline so the list splice fuses into the engine's event loop.
   AccessOutcome touch(FrameIndex f) {
     JPM_DCHECK(nodes_[f].occupied);

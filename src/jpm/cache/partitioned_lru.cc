@@ -96,9 +96,8 @@ PartitionedLruCache::PartitionedLruCache(const PartitionedLruOptions& options)
 
 bool PartitionedLruCache::access(std::uint32_t partition, PageId page) {
   JPM_CHECK(partition < caches_.size());
-  // One probe serves both the stack-distance update and the residency
-  // check; the tracker always runs first, so every entry carries a slot and
-  // evictions never physically erase (the entry pointer stays valid).
+  // One lookup serves both the stack-distance update and the residency
+  // check.
   PageEntry* entry = tables_[partition]->find_or_insert(page);
   curves_[partition].add(trackers_[partition].access_at(*entry));
   if (entry->frame != kNoFrame) {

@@ -78,7 +78,7 @@ class PartitionedLruCache {
   PartitionedLruOptions options_;
   std::uint64_t total_units_;
   // Each partition's cache and tracker share one page table, so access()
-  // resolves a page with a single probe (the engine's fused hot path).
+  // resolves a page with a single lookup (the engine's fused hot path).
   std::vector<std::unique_ptr<PageTable>> tables_;
   std::vector<LruCache> caches_;
   std::vector<StackDistanceTracker> trackers_;

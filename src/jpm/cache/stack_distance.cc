@@ -29,12 +29,12 @@ std::uint64_t StackDistanceTracker::access(std::uint64_t page) {
 
 void StackDistanceTracker::compact() {
   // Rebuild with only the live (most recent per page) slots, preserving
-  // relative order; size to 4x live so compactions are amortized O(1). The
+  // relative order; size to 8x live so compactions are amortized O(1). The
   // live set is read straight off the page table — every entry with a slot
-  // is live by construction. The table iterates in unspecified order, so
-  // entries are scattered into a slot-indexed array (old slots are unique
-  // in [0, next_slot_)) and then renumbered in ascending slot order:
-  // deterministic and comparison-free, unlike a sort.
+  // is live by construction. The table iterates in page order, not slot
+  // order, so entries are scattered into a slot-indexed array (old slots
+  // are unique in [0, next_slot_)) and then renumbered in ascending slot
+  // order: comparison-free, unlike a sort.
   //
   // The ascending walk follows the tree's leaf bitmap, not the scatter
   // array: live entries and marked slots are in bijection, so every marked

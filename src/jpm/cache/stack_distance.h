@@ -51,9 +51,9 @@ class StackDistanceTracker {
   std::uint64_t access(std::uint64_t page);
 
   // Same, for a caller that already resolved the page's entry in the shared
-  // table — the fused hot path; no hash probe happens here. Defined inline:
-  // this plus the probe is the whole per-event cost of prediction, and the
-  // counter-tree descent inlines into the engine loop.
+  // table — the fused hot path; no table lookup happens here. Defined
+  // inline: this plus the lookup is the whole per-event cost of prediction,
+  // and the counter-tree descent inlines into the engine loop.
   JPM_FORCE_INLINE std::uint64_t access_at(PageEntry& entry) {
     ++total_accesses_;
     if (next_slot_ == tree_.size()) compact();
@@ -77,12 +77,12 @@ class StackDistanceTracker {
   }
 
   // Hints the lines a future access(page) will touch, assuming
-  // `lanes_ahead` accesses happen first: the table's home slot for the page
-  // plus the predicted append-slot tree lines. With a large page table the
-  // probe line is the long pole — issuing it a few accesses early lets
-  // several probe misses be in flight at once instead of serializing.
-  // Advisory: a compaction between the hint and the access only makes the
-  // hint useless, never wrong.
+  // `lanes_ahead` accesses happen first: the page's table entry plus the
+  // predicted append-slot tree lines. With a large page table the entry's
+  // line is the long pole — issuing it a few accesses early lets several
+  // entry misses be in flight at once instead of serializing. Advisory: a
+  // compaction between the hint and the access only makes the hint useless,
+  // never wrong.
   void prefetch_page(std::uint64_t page, std::size_t lanes_ahead) const {
     table_->prefetch(page);
     tree_.prefetch(next_slot_ + lanes_ahead);

@@ -42,7 +42,7 @@ struct Engine::Impl {
   util::Arena arena;
   // One page table shared by the LRU cache and (in joint runs) the
   // stack-distance tracker: the hot loop resolves each event's page with a
-  // single probe and hands the entry to both. Declared before its users so
+  // single lookup and hands the entry to both. Declared before its users so
   // it outlives them.
   cache::PageTable page_table;
   std::unique_ptr<cache::LruCache> lru;
@@ -114,6 +114,14 @@ struct Engine::Impl {
         last_disk_finish(0.0) {
     JPM_CHECK_MSG(source.total_pages > 0,
                   "a live source must declare its data-set size");
+    // Checked before anything per-page is built. Bad input, so a named
+    // error without a source location.
+    if (source.total_pages > cache::PageTable::kMaxPages) {
+      throw std::invalid_argument(
+          "the source declares " + std::to_string(source.total_pages) +
+          " pages; at most " + std::to_string(cache::PageTable::kMaxPages) +
+          " are supported");
+    }
     duration_s = source.duration_hint_s;
     total_pages = source.total_pages;
     init(source.page_bytes);
@@ -152,6 +160,34 @@ struct Engine::Impl {
     fault::validate(config.fault);
   }
 
+  // A fresh instance of the run's disk timeout policy: the engine's own,
+  // then one per spindle of an array. Joint runs make one DynamicTimeout,
+  // which the manager retunes each period, and hand each spindle a
+  // SharedTimeout view of it.
+  std::unique_ptr<disk::TimeoutPolicy> make_timeout_policy() {
+    const double break_even_s = config.joint.disk.break_even_s();
+    switch (policy.disk) {
+      case DiskPolicyKind::kTwoCompetitive:
+        return std::make_unique<disk::FixedTimeout>(break_even_s);
+      case DiskPolicyKind::kAdaptive:
+        return std::make_unique<disk::AdaptiveTimeout>();
+      case DiskPolicyKind::kPredictive:
+        return std::make_unique<disk::PredictiveTimeout>(break_even_s);
+      case DiskPolicyKind::kAlwaysOn:
+        return std::make_unique<disk::NeverTimeout>();
+      case DiskPolicyKind::kJoint: {
+        if (dynamic_timeout != nullptr) {
+          return std::make_unique<disk::SharedTimeout>(dynamic_timeout);
+        }
+        auto dynamic = std::make_unique<disk::DynamicTimeout>(break_even_s);
+        dynamic_timeout = dynamic.get();
+        return dynamic;
+      }
+    }
+    JPM_CHECK_MSG(false, "unknown disk policy kind");
+    return nullptr;
+  }
+
   void init(std::uint64_t page_bytes) {
     config.joint.page_bytes = page_bytes;
     validate_config();
@@ -165,30 +201,7 @@ struct Engine::Impl {
     JPM_CHECK_MSG(jc.physical_bytes % jc.mem.bank_bytes == 0,
                   "physical memory must be a whole number of banks");
 
-    // Disk timeout policy.
-    switch (policy.disk) {
-      case DiskPolicyKind::kTwoCompetitive:
-        timeout_policy =
-            std::make_unique<disk::FixedTimeout>(jc.disk.break_even_s());
-        break;
-      case DiskPolicyKind::kAdaptive:
-        timeout_policy = std::make_unique<disk::AdaptiveTimeout>();
-        break;
-      case DiskPolicyKind::kPredictive:
-        timeout_policy =
-            std::make_unique<disk::PredictiveTimeout>(jc.disk.break_even_s());
-        break;
-      case DiskPolicyKind::kAlwaysOn:
-        timeout_policy = std::make_unique<disk::NeverTimeout>();
-        break;
-      case DiskPolicyKind::kJoint: {
-        auto dynamic =
-            std::make_unique<disk::DynamicTimeout>(jc.disk.break_even_s());
-        dynamic_timeout = dynamic.get();
-        timeout_policy = std::move(dynamic);
-        break;
-      }
-    }
+    timeout_policy = make_timeout_policy();
     // Storage backend: multi-speed disk, single spin-down disk, or a
     // striped array with per-disk policy instances.
     if (policy.multi_speed) {
@@ -211,24 +224,8 @@ struct Engine::Impl {
       array_cfg.page_bytes = jc.page_bytes;
       array_cfg.params = jc.disk;
       array_cfg.fault = config.fault;
-      const auto factory = [this, &jc]() -> std::unique_ptr<disk::TimeoutPolicy> {
-        switch (policy.disk) {
-          case DiskPolicyKind::kTwoCompetitive:
-            return std::make_unique<disk::FixedTimeout>(jc.disk.break_even_s());
-          case DiskPolicyKind::kAdaptive:
-            return std::make_unique<disk::AdaptiveTimeout>();
-          case DiskPolicyKind::kPredictive:
-            return std::make_unique<disk::PredictiveTimeout>(
-                jc.disk.break_even_s());
-          case DiskPolicyKind::kAlwaysOn:
-            return std::make_unique<disk::NeverTimeout>();
-          case DiskPolicyKind::kJoint:
-            return std::make_unique<disk::SharedTimeout>(dynamic_timeout);
-        }
-        JPM_CHECK_MSG(false, "unknown disk policy kind");
-        return nullptr;
-      };
-      disk = std::make_unique<disk::DiskArray>(array_cfg, factory, 0.0);
+      disk = std::make_unique<disk::DiskArray>(
+          array_cfg, [this] { return make_timeout_policy(); }, 0.0);
     }
 
     // Cache sized to physical memory; logical capacity per the method.
@@ -466,7 +463,7 @@ struct Engine::Impl {
                             std::to_string(total_pages) + " pages");
   }
 
-  // One event: timer bookkeeping, then a single page-table probe resolves
+  // One event: timer bookkeeping, then a single page-table lookup resolves
   // the page for every consumer — the stack-distance update reads/writes
   // the entry's `slot` half and the residency check reads its `frame` half.
   // The resident hit is the per-event steady state of a run and stays

@@ -63,6 +63,9 @@ struct LiveSource {
 
 class Engine {
  public:
+  // A source declaring more than 2^32 pages is rejected with
+  // std::invalid_argument naming the count, before any per-page state is
+  // allocated.
   Engine(const LiveSource& source, const PolicySpec& policy,
          const EngineConfig& config);
   ~Engine();

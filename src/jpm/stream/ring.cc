@@ -4,12 +4,19 @@
 
 namespace jpm::stream {
 
-EventRing::EventRing(std::size_t capacity)
-    : capacity_(capacity),
-      mask_(capacity - 1),
-      slots_(new Slot[capacity]) {
+namespace {
+// Checked before the slots are allocated from it.
+std::size_t checked_capacity(std::size_t capacity) {
   JPM_CHECK_MSG(is_power_of_two(capacity) && capacity <= (1u << 30),
                 "ring capacity must be a power of two in [1, 2^30]");
+  return capacity;
+}
+}  // namespace
+
+EventRing::EventRing(std::size_t capacity)
+    : capacity_(checked_capacity(capacity)),
+      mask_(capacity - 1),
+      slots_(new Slot[capacity]) {
   for (std::size_t i = 0; i < capacity_; ++i) {
     slots_[i].sequence.store(2 * i, std::memory_order_relaxed);
   }

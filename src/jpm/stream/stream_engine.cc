@@ -66,12 +66,11 @@ StreamEngine::StreamEngine(const sim::LiveSource& source,
                            const sim::PolicySpec& policy,
                            const sim::EngineConfig& engine_config,
                            const StreamConfig& stream_config)
-    : config_(stream_config),
+    : config_((validate(stream_config), stream_config)),
       ring_(static_cast<std::size_t>(stream_config.ring_capacity)),
       engine_(source, policy, engine_config),
       warm_up_s_(engine_config.warm_up_s),
       duration_hint_s_(source.duration_hint_s) {
-  validate(stream_config);
   scratch_.resize(config_.max_batch);
   times_.resize(config_.max_batch);
   pages_.resize(config_.max_batch);

@@ -88,6 +88,8 @@ struct StreamStats {
 
 class StreamEngine {
  public:
+  // Validates `stream_config` (see validate()) before building the ring or
+  // the engine from it.
   StreamEngine(const sim::LiveSource& source, const sim::PolicySpec& policy,
                const sim::EngineConfig& engine_config,
                const StreamConfig& stream_config);

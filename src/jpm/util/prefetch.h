@@ -1,7 +1,7 @@
 // Software-prefetch hint, compiled out on toolchains without the builtin.
 //
-// Hinting a line a few steps ahead (the tracker's next append slot, a flat
-// map's home slot, the idle sweep's upcoming nodes) overlaps cache misses
+// Hinting a line a few steps ahead (the tracker's next append slot, a page
+// table's entry, the idle sweep's upcoming nodes) overlaps cache misses
 // that otherwise serialize a hot loop. A hint never changes observable
 // behavior, so callers are free to prefetch speculative addresses (e.g. a
 // predicted counter-tree slot that a compaction may move).

@@ -140,8 +140,8 @@ TEST(StackDistanceTest, SharedTableWithEvictingCacheMatchesNaive) {
                                                : rng.uniform_index(2000);
     PageEntry* entry = table.find_or_insert(page);
     ASSERT_EQ(fast.access_at(*entry), naive.access(page)) << "iter " << i;
-    // Mirror the engine's hot loop: hit -> touch, miss -> insert (which may
-    // physically relocate entries, so re-resolve nothing afterwards).
+    // Mirror the engine's hot loop: hit -> touch, miss -> insert. An
+    // eviction only clears the victim's `frame` half; entries never move.
     if (entry->frame != kNoFrame) {
       cache.touch(entry->frame);
     } else {

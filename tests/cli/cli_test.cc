@@ -45,6 +45,24 @@ std::string write_temp(const std::string& name, const std::string& contents) {
   return path;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// Writes serve_demo.json with its workload point replaying `trace_path` to
+// a temp file `name`; returns its path. insert() throws, failing the test,
+// if the scenario has no workload point.
+std::string demo_scenario_replaying(const std::string& trace_path,
+                                    const std::string& name) {
+  std::string text = read_file(demo_scenario());
+  text.insert(text.find("\"workload\": {"),
+              "\"trace\": {\"path\": \"" + trace_path + "\"},\n      ");
+  return write_temp(name, text);
+}
+
 TEST(CliTest, NoArgumentsPrintsUsageAndExitsNonZero) {
   const auto r = run_cmd(kCli);
   EXPECT_NE(r.exit_code, 0);
@@ -261,16 +279,7 @@ TEST(CliTest, RunFromTraceFilesMatchesInMemoryStdout) {
                 .exit_code,
             0);
 
-  // Rewrite the scenario's workload point to replay the file.
-  std::ifstream in(demo_scenario());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string text = ss.str();
-  const std::string needle = "\"workload\": {";
-  const auto pos = text.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  text.insert(pos, "\"trace\": {\"path\": \"" + file + "\"},\n      ");
-  const auto traced = write_temp("cli_run_traced.json", text);
+  const auto traced = demo_scenario_replaying(file, "cli_run_traced.json");
 
   // Both runs export telemetry to the same base so the stdout log lines
   // match; the report left on disk is the file-backed run's.
@@ -332,21 +341,40 @@ TEST(CliTest, RunRejectsTracePagesPastTheDeclaredSize) {
               " --total-pages=100 --page-bytes=262144 --duration=3600");
   ASSERT_EQ(pack.exit_code, 0) << pack.output;
   EXPECT_EQ(run_cmd(kCli + " trace info " + packed + " --verify").exit_code, 0);
-
-  std::ifstream in(demo_scenario());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string text = ss.str();
-  const std::string needle = "\"workload\": {";
-  const auto pos = text.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  text.insert(pos, "\"trace\": {\"path\": \"" + packed + "\"},\n      ");
-  const auto traced = write_temp("cli_out_of_range.json", text);
+  const auto traced = demo_scenario_replaying(packed, "cli_out_of_range.json");
 
   const auto r = run_cmd(kCli + " run " + traced);
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("error: run: event page 500 is outside the data "
                           "set: the source declares 100 pages"),
+            std::string::npos)
+      << r.output;
+  EXPECT_FALSE(carries_source_location(r.output)) << r.output;
+  std::remove(packed.c_str());
+}
+
+// A well-formed file whose header declares 2^40 pages: the engine refuses
+// the data set by name before allocating anything per page. The scenario
+// keeps prefill off, so an engine that accepted it would allocate nothing
+// per page either.
+TEST(CliTest, RunRejectsAHugeDeclaredDataSet) {
+  const auto csv = write_temp("cli_huge.csv",
+                              "time_s,page,request_start\n"
+                              "0.5,5,1\n1.0,6,1\n1.5,7,1\n");
+  const std::string packed = ::testing::TempDir() + "cli_huge.jpmc";
+  const auto pack =
+      run_cmd(kCli + " trace pack " + csv + " " + packed +
+              " --total-pages=1099511627776 --page-bytes=262144"
+              " --duration=3600");
+  ASSERT_EQ(pack.exit_code, 0) << pack.output;
+  ASSERT_NE(read_file(demo_scenario()).find("\"prefill_cache\": false"),
+            std::string::npos);
+  const auto traced = demo_scenario_replaying(packed, "cli_huge.json");
+
+  const auto r = run_cmd(kCli + " run " + traced);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error: run: the source declares 1099511627776 "
+                          "pages; at most 4294967296 are supported"),
             std::string::npos)
       << r.output;
   EXPECT_FALSE(carries_source_location(r.output)) << r.output;

@@ -201,6 +201,29 @@ TEST(EngineTest, RunIsSingleShot) {
   EXPECT_THROW(engine.finish(w.duration_s), CheckError);
 }
 
+// The page table indexes at most 2^32 pages, so a larger declared data set
+// is refused by name before anything per-page is allocated. Prefill is off,
+// so an engine that accepted the source would allocate nothing per page.
+TEST(EngineTest, RejectsDataSetsPastThePageTableLimit) {
+  auto e = small_engine();
+  e.prefill_cache = false;
+  const auto build = [&](std::uint64_t pages) {
+    Engine engine(LiveSource{64 * kKiB, pages, 3600.0}, joint_policy(), e);
+  };
+  EXPECT_NO_THROW(build(std::uint64_t{1} << 32));
+  for (const std::uint64_t pages :
+       {(std::uint64_t{1} << 32) + 1, std::uint64_t{1} << 40}) {
+    try {
+      build(pages);
+      ADD_FAILURE() << pages << " pages were accepted";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_EQ(std::string(ex.what()),
+                "the source declares " + std::to_string(pages) +
+                    " pages; at most 4294967296 are supported");
+    }
+  }
+}
+
 TEST(EngineTest, RejectsWarmUpBeyondDuration) {
   auto e = small_engine();
   e.warm_up_s = 1e6;

@@ -477,6 +477,32 @@ TEST(StreamEngineTest, ConcurrentProducerSmoke) {
   EXPECT_EQ(m.cache_accesses, s.events_processed);
 }
 
+// The constructor validates its config before building the ring or the
+// engine from it, so a bad knob fails with validate()'s named error and
+// nothing is allocated first.
+TEST(StreamConfigTest, ConstructorValidatesBeforeBuilding) {
+  const sim::LiveSource source{64 * kKiB, 2048, 600.0};
+  const auto expect_named = [](const sim::LiveSource& src,
+                               const StreamConfig& cfg,
+                               const std::string& field) {
+    try {
+      StreamEngine se(src, sim::joint_policy(), stream_engine_config(), cfg);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find(field), std::string::npos)
+          << ex.what();
+    }
+  };
+  StreamConfig c;
+  c.ring_capacity = 3;
+  expect_named(source, c, "ring_capacity");
+  // A source with no declared size makes the engine's constructor throw a
+  // CheckError, so this passes only if max_batch is checked first.
+  c = StreamConfig{};
+  c.max_batch = 0;
+  expect_named(sim::LiveSource{64 * kKiB, 0, 600.0}, c, "max_batch");
+}
+
 TEST(StreamConfigTest, ValidateRejectsBadKnobs) {
   const StreamConfig good;
   EXPECT_NO_THROW(validate(good));
