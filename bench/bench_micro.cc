@@ -2,7 +2,8 @@
 // operations, the stack-distance tracker, the idle-interval sweep,
 // Pareto fitting, trace synthesis throughput, the workload-model build (file
 // set + popularity solve) at scenario shape, single-policy engine replay —
-// the perf baseline for the sweep hot loop — the TaskPool scheduler under
+// the perf baseline for the sweep hot loop — engine construction with its
+// warm start at scenario shape, the TaskPool scheduler under
 // uniform and straggler task mixes (static vs steal), JPMC trace-file
 // encode/decode and file-backed replay (jpm::tracefile), and scenario-file
 // parse/serialize throughput for the jpm::spec layer.
@@ -231,6 +232,34 @@ void BM_EngineReplay(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_EngineReplay)->Arg(0)->Arg(1);
+
+// Engine construction at popularity_16k's shape (Fig. 8: 16 kB pages,
+// 128 GB of physical memory in 16 MB banks, a 1,046,114-page data set,
+// prefill on): the set-up every sweep run pays before its first event,
+// warm start included. Items = prefilled pages. The arg picks the policy
+// (0 = 2TFM-8GB, 1 = joint).
+void BM_EngineConstruct(benchmark::State& state) {
+  sim::LiveSource source;
+  source.page_bytes = 16 * kKiB;
+  source.total_pages = 1046114;
+  sim::EngineConfig e;
+  e.joint.physical_bytes = gib(128);
+  e.joint.unit_bytes = 16 * kMiB;
+  e.joint.mem.bank_bytes = 16 * kMiB;
+  e.joint.period_s = 600.0;
+  e.prefill_cache = true;
+  const auto policy = state.range(0) == 0
+                          ? sim::fixed_policy(
+                                sim::DiskPolicyKind::kTwoCompetitive, gib(8))
+                          : sim::joint_policy();
+  for (auto _ : state) {
+    sim::Engine engine(source, policy, e);
+    benchmark::DoNotOptimize(&engine);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(source.total_pages));
+}
+BENCHMARK(BM_EngineConstruct)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Work whose cost the optimizer cannot collapse: a multiply-add chain with a
 // loop-carried dependence, `rounds` deep.

@@ -13,7 +13,7 @@ LruCache::LruCache(const LruCacheOptions& options, PageTable* shared)
   JPM_CHECK(options.capacity_frames <= options.total_frames);
   JPM_CHECK_MSG(options.total_frames % options.frames_per_bank == 0,
                 "total frames must be a whole number of banks");
-  nodes_.resize(options.total_frames);
+  nodes_.reserve(options.total_frames);
   const std::uint64_t banks = options.total_frames / options.frames_per_bank;
   bank_free_.resize(banks);
   bank_population_.assign(banks, 0);
@@ -59,6 +59,48 @@ InsertOutcome LruCache::insert(PageId page) {
   return out;
 }
 
+void LruCache::fill_in_order(std::uint64_t n) {
+  JPM_CHECK_MSG(nodes_.empty(), "fill_in_order needs a fresh cache");
+  if (n == 0) return;
+  JPM_CHECK_MSG(capacity_ > 0, "insert into zero-capacity cache");
+  // Up to capacity, insert(p) takes frame p (banks fill in ascending order,
+  // lowest frame first); past it, each insert evicts page p - capacity and
+  // reuses its frame. Either way page p ends in frame p % capacity.
+  const std::uint64_t resident = std::min(n, capacity_);
+  const std::uint64_t used_banks =
+      (resident + frames_per_bank_ - 1) / frames_per_bank_;
+  nodes_.resize(used_banks * frames_per_bank_);
+  // Link the resident pages from LRU (n - resident) to MRU (n - 1).
+  FrameIndex f = static_cast<FrameIndex>((n - resident) % capacity_);
+  tail_ = f;
+  for (PageId p = n - resident; p < n; ++p) {
+    Node& node = nodes_[f];
+    node.page = p;
+    node.occupied = true;
+    node.next = head_;
+    if (head_ != kNoFrame) nodes_[head_].prev = f;
+    head_ = f;
+    table_->find_or_insert(p)->frame = f;
+    if (++f == capacity_) f = 0;
+  }
+  size_ = resident;
+  for (BankIndex b = 0; b < used_banks; ++b) {
+    bank_population_[b] =
+        std::min(frames_per_bank_, resident - b * frames_per_bank_);
+  }
+  // The used banks left the cold stack from its lowest end; a partial last
+  // bank keeps its unused frames, descending, and is the one warm bank.
+  cold_banks_.resize(cold_banks_.size() - used_banks);
+  if (const std::uint64_t filled = resident % frames_per_bank_; filled != 0) {
+    const BankIndex b = static_cast<BankIndex>(used_banks - 1);
+    const FrameIndex lo = static_cast<FrameIndex>(b * frames_per_bank_);
+    for (std::uint64_t k = frames_per_bank_; k > filled; --k) {
+      bank_free_[b].push_back(static_cast<FrameIndex>(lo + k - 1));
+    }
+    warm_banks_.push_back(b);
+  }
+}
+
 void LruCache::set_capacity(std::uint64_t frames,
                             std::vector<PageId>* dirty_out) {
   JPM_CHECK(frames <= total_frames());
@@ -76,6 +118,7 @@ std::uint64_t LruCache::invalidate_bank(BankIndex bank,
   JPM_CHECK(bank < bank_count());
   std::uint64_t dropped = 0;
   const FrameIndex lo = static_cast<FrameIndex>(bank * frames_per_bank_);
+  if (lo >= nodes_.size()) return 0;  // never used: no nodes, no pages
   const FrameIndex hi = static_cast<FrameIndex>(lo + frames_per_bank_);
   for (FrameIndex f = lo; f < hi; ++f) {
     if (nodes_[f].occupied) {
@@ -165,9 +208,12 @@ FrameIndex LruCache::allocate_frame() {
   cold_banks_.pop_back();
   auto& free_list = bank_free_[b];
   if (free_list.empty()) {
-    // Bank has never been used: seed its free list with all frames but one
-    // (descending so lower frames are handed out first).
+    // Bank has never been used: build its nodes right after the used prefix
+    // and seed its free list with all frames but one (descending so lower
+    // frames are handed out first).
     const FrameIndex lo = static_cast<FrameIndex>(b * frames_per_bank_);
+    JPM_CHECK_MSG(lo == nodes_.size(), "used frames must stay a prefix");
+    nodes_.resize(nodes_.size() + frames_per_bank_);
     for (std::uint64_t k = frames_per_bank_; k > 1; --k) {
       free_list.push_back(static_cast<FrameIndex>(lo + k - 1));
     }

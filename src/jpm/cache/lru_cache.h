@@ -8,7 +8,10 @@
 //   * bank invalidation (the "disable" memory policy), which drops every page
 //     held in a bank's frames.
 // Frame allocation prefers banks that already hold pages, so unused banks can
-// stay in deep low-power modes.
+// stay in deep low-power modes. Never-used banks are handed out in ascending
+// order and only once no drained bank is left, so the frames ever used form
+// a prefix of physical memory: frame nodes exist for that prefix only,
+// growing one bank at a time.
 //
 // Residency (page -> frame) lives in a PageTable — dense per-page entries —
 // as the `frame` half of each PageEntry. By default the cache owns a
@@ -80,6 +83,12 @@ class LruCache {
   // victim (with its dirty state, so the caller can write it back).
   InsertOutcome insert(PageId page);
 
+  // The warm start: builds, on a fresh cache, exactly the state that
+  // insert(0), insert(1), ..., insert(n - 1) would leave, in O(min(n,
+  // capacity)) — the last min(n, capacity) pages resident, page p in frame
+  // p % capacity, n - 1 at MRU.
+  void fill_in_order(std::uint64_t n);
+
   // Changes the logical capacity; shrinking evicts LRU pages immediately.
   // Dirty victims are appended to `dirty_out` when provided.
   void set_capacity(std::uint64_t frames,
@@ -105,7 +114,8 @@ class LruCache {
 
   std::uint64_t size() const { return size_; }
   std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t total_frames() const { return static_cast<std::uint64_t>(nodes_.size()); }
+  // Physical memory in frames, whether or not a page ever reached them.
+  std::uint64_t total_frames() const { return bank_count() * frames_per_bank_; }
   std::uint64_t bank_count() const { return bank_free_.size(); }
   std::uint64_t frames_per_bank() const { return frames_per_bank_; }
   // Number of pages currently resident in the given bank.
@@ -158,6 +168,8 @@ class LruCache {
   FrameIndex head_ = kNoFrame;  // MRU
   FrameIndex tail_ = kNoFrame;  // LRU
   // Indexed by frame; optionally arena-backed (LruCacheOptions::arena).
+  // Covers the used banks only. Capacity for every frame is reserved up
+  // front: growth never moves a node, and the unused tail is never touched.
   std::vector<Node, util::ArenaAllocator<Node>> nodes_;
   std::unique_ptr<PageTable> owned_table_;  // null when sharing
   PageTable* table_;  // page -> frame lives in each entry's `frame` half

@@ -17,7 +17,8 @@
 // Storage is dense: the entry for page p is element p % kBlockEntries of
 // block p / kBlockEntries. A block is allocated the first time one of its
 // pages is inserted, so a table costs 8 bytes per page of the blocks it
-// touched — a whole data set after a prefill, one or two blocks for a
+// touched — a whole data set once a tracker has slotted every page, the
+// resident pages after a cache-only warm start, one or two blocks for a
 // cluster shard whose partition is one or two extents. Entries never move
 // and are never freed before the table is, so a PageEntry* stays valid for
 // the table's lifetime.

@@ -27,6 +27,20 @@ std::uint64_t StackDistanceTracker::access(std::uint64_t page) {
   return access_at(*table_->find_or_insert(page));
 }
 
+void StackDistanceTracker::fill_in_order(std::uint64_t n) {
+  JPM_CHECK_MSG(total_accesses_ == 0, "fill_in_order needs a fresh tracker");
+  // Streamed, the tracker would be at whatever size its compactions left;
+  // the tree's size never shows in a depth (see compact()), so size it as a
+  // compaction of n live pages would.
+  reset_tree(n);
+  for (std::uint64_t p = 0; p < n; ++p) {
+    table_->find_or_insert(p)->slot = static_cast<std::uint32_t>(p);
+  }
+  live_pages_ = n;
+  next_slot_ = n;
+  total_accesses_ = n;
+}
+
 void StackDistanceTracker::compact() {
   // Rebuild with only the live (most recent per page) slots, preserving
   // relative order; size to 8x live so compactions are amortized O(1). The
@@ -59,7 +73,10 @@ void StackDistanceTracker::compact() {
   });
   JPM_CHECK(fresh == live);
   next_slot_ = fresh;
+  reset_tree(live);
+}
 
+void StackDistanceTracker::reset_tree(std::uint64_t live) {
   // 8x live: each rebuild buys 7x live accesses before the next one, and
   // compaction timing is invisible to results (depths depend only on the
   // relative order of marked slots, which renumbering preserves) — so the
@@ -68,8 +85,8 @@ void StackDistanceTracker::compact() {
   const std::size_t new_size =
       std::max<std::size_t>(kInitialSlots, static_cast<std::size_t>(live) * 8);
   JPM_CHECK_MSG(new_size < kNoSlot, "stack-distance slot space exhausted");
-  // After renumbering, slots [0, live) are all marked — build that tree in
-  // one O(new_size) pass rather than live individual set() walks.
+  // Slots [0, live) are all marked — build that tree in one O(new_size)
+  // pass rather than live individual set() walks.
   tree_.reset_ones_prefix(new_size, live);
 }
 

@@ -76,6 +76,11 @@ class StackDistanceTracker {
     return depth;
   }
 
+  // The warm start: builds, on a fresh tracker, exactly the state that
+  // access(0), access(1), ..., access(n - 1) would leave — page p in slot p,
+  // every page live — without walking the tree per page.
+  void fill_in_order(std::uint64_t n);
+
   // Hints the lines a future access(page) will touch, assuming
   // `lanes_ahead` accesses happen first: the page's table entry plus the
   // predicted append-slot tree lines. With a large page table the entry's
@@ -94,6 +99,8 @@ class StackDistanceTracker {
 
  private:
   void compact();
+  // Resizes the tree for `live` pages and marks slots [0, live).
+  void reset_tree(std::uint64_t live);
 
   CounterTree tree_;
   std::unique_ptr<PageTable> owned_table_;  // null when sharing

@@ -315,24 +315,17 @@ struct Engine::Impl {
     }
   }
 
-  // Streams every data-set page through the cache AND the extended LRU list
-  // before t = 0: the measured run starts from a warm server. Prefilling the
+  // Starts the run from a warm server: the cache AND the extended LRU list
+  // are left as streaming every data-set page through them in page order,
+  // before t = 0, would leave them — built in closed form. Prefilling the
   // tracker keeps prediction consistent with the warm cache: a page's first
   // in-trace access is a re-access at its (prefill-order) stack depth, which
   // is exactly where the resident copy sits — so the miss curve correctly
   // credits large memories with serving first touches from memory and
   // charges small ones with evicting them.
   void prefill() {
-    const std::uint64_t pages = total_pages;
-    for (std::uint64_t p = 0; p < pages; ++p) {
-      cache::PageEntry* entry = page_table.find_or_insert(p);
-      if (tracker) tracker->access_at(*entry);
-      if (entry->frame != cache::kNoFrame) {
-        lru->touch(entry->frame);
-      } else {
-        lru->insert(p);
-      }
-    }
+    if (tracker) tracker->fill_in_order(total_pages);
+    lru->fill_in_order(total_pages);
   }
 
   void take_snapshot(double t) {

@@ -25,9 +25,10 @@ struct EngineConfig {
   double long_latency_threshold_s = 0.5;
   // Keep per-period records (Fig. 9 timelines); cheap, on by default.
   bool record_periods = true;
-  // Warm start: stream the whole data set through cache and trackers before
-  // t = 0 (no energy or latency accounted), modelling a server that has been
-  // up long enough for the trace to contain no compulsory-miss storm — the
+  // Warm start: the run begins in the state that streaming the whole data
+  // set, in page order, through cache and trackers before t = 0 leaves (no
+  // energy or latency accounted), modelling a server that has been up long
+  // enough for the trace to contain no compulsory-miss storm — the
   // situation the paper's captured trace represents.
   bool prefill_cache = false;
   // Metrics (energy, latency, counters) accumulate only after this time;

@@ -7,7 +7,7 @@
 namespace jpm::util {
 
 namespace detail {
-thread_local bool tl_in_parallel_region = false;
+constinit thread_local bool tl_in_parallel_region = false;
 }  // namespace detail
 
 unsigned default_thread_count() {

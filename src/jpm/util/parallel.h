@@ -59,8 +59,11 @@ SchedMode default_sched_mode();
 namespace detail {
 
 // Set while the current thread is executing tasks inside a TaskPool region;
-// nested parallel_for calls observe it and run inline.
-extern thread_local bool tl_in_parallel_region;
+// nested parallel_for calls observe it and run inline. constinit tells every
+// includer that the flag needs no dynamic initialization, so it is accessed
+// directly rather than through the thread_local wrapper function; on that
+// wrapper path GCC 12's UBSan build reports a store to a null pointer.
+extern constinit thread_local bool tl_in_parallel_region;
 
 // Shared error slot: the first exception (in worker-observation order) wins;
 // once `failed` is set, workers stop starting new tasks.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "jpm/util/check.h"
@@ -274,6 +276,197 @@ TEST(LruCacheTest, RandomizedAgainstReference) {
     ASSERT_EQ(c.size(), ref.size());
     ASSERT_EQ(c.lru_order(), ref);
   }
+}
+
+// ---- Closed-form warm start ------------------------------------------------
+//
+// fill_in_order(n) must leave exactly the state that streaming insert(0), ...,
+// insert(n - 1) through a fresh cache leaves. The streamed loop is the
+// oracle: both caches are compared directly, then driven through one random
+// operation sequence whose outcomes depend on every free list and on the
+// warm and cold bank stacks.
+
+struct FillShape {
+  const char* name;
+  std::uint64_t total_frames;
+  std::uint64_t frames_per_bank;
+  std::uint64_t capacity;
+  std::uint64_t n;
+};
+
+const FillShape kFillShapes[] = {
+    {"n = 0", 64, 8, 40, 0},
+    {"n < capacity, ragged bank", 64, 8, 40, 21},
+    {"n = capacity", 64, 8, 40, 40},
+    {"n = 2.5 x capacity", 64, 8, 40, 100},
+    {"capacity not whole banks", 64, 8, 29, 73},
+    {"capacity not whole banks, n < capacity", 64, 8, 29, 27},
+    {"capacity = physical", 64, 8, 64, 150},
+    {"one frame per bank", 32, 1, 12, 30},
+};
+
+// One cache plus, in shared mode, the external table it resolves through.
+struct CacheUnderTest {
+  CacheUnderTest(const FillShape& s, bool shared)
+      : table(shared ? std::make_unique<PageTable>() : nullptr),
+        cache(LruCacheOptions{s.total_frames, s.frames_per_bank, s.capacity},
+              table.get()) {}
+  std::unique_ptr<PageTable> table;
+  LruCache cache;
+};
+
+void expect_same_state(const LruCache& a, const LruCache& b,
+                       std::uint64_t page_space) {
+  ASSERT_EQ(a.lru_order(), b.lru_order());
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.capacity(), b.capacity());
+  for (BankIndex k = 0; k < a.bank_count(); ++k) {
+    ASSERT_EQ(a.bank_population(k), b.bank_population(k)) << "bank " << k;
+  }
+  for (PageId p = 0; p < page_space; ++p) {
+    ASSERT_EQ(a.contains(p), b.contains(p)) << "page " << p;
+  }
+}
+
+void expect_same_insert(const InsertOutcome& a, const InsertOutcome& b) {
+  ASSERT_EQ(a.bank, b.bank);
+  ASSERT_EQ(a.frame, b.frame);
+  ASSERT_EQ(a.evicted, b.evicted);
+  ASSERT_EQ(a.evicted_page, b.evicted_page);
+  ASSERT_EQ(a.evicted_dirty, b.evicted_dirty);
+}
+
+// Drives both caches through one seeded sequence of lookups and inserts,
+// capacity changes, dirty marks, drains and bank invalidations (used and
+// never-used banks alike), requiring identical outcomes at every step.
+void drive_identically(LruCache& a, LruCache& b, std::uint64_t page_space,
+                       std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PageId> dirty_a, dirty_b;
+  for (int iter = 0; iter < 4000; ++iter) {
+    SCOPED_TRACE(::testing::Message() << "iter " << iter);
+    const double op = rng.uniform();
+    if (op < 0.03) {
+      const std::uint64_t frames = 1 + rng.uniform_index(a.total_frames());
+      dirty_a.clear();
+      dirty_b.clear();
+      a.set_capacity(frames, &dirty_a);
+      b.set_capacity(frames, &dirty_b);
+      ASSERT_EQ(dirty_a, dirty_b);
+    } else if (op < 0.05) {
+      const auto bank =
+          static_cast<BankIndex>(rng.uniform_index(a.bank_count()));
+      dirty_a.clear();
+      dirty_b.clear();
+      ASSERT_EQ(a.invalidate_bank(bank, &dirty_a),
+                b.invalidate_bank(bank, &dirty_b));
+      ASSERT_EQ(dirty_a, dirty_b);
+    } else if (op < 0.06) {
+      a.take_dirty_pages(&dirty_a);
+      b.take_dirty_pages(&dirty_b);
+      ASSERT_EQ(dirty_a, dirty_b);
+    } else if (op < 0.20) {
+      const PageId p = rng.uniform_index(page_space);
+      ASSERT_EQ(a.contains(p), b.contains(p));
+      if (a.contains(p)) {
+        a.mark_dirty(p);
+        b.mark_dirty(p);
+      }
+    } else {
+      const PageId p = rng.uniform_index(page_space);
+      const auto hit_a = a.lookup(p);
+      const auto hit_b = b.lookup(p);
+      ASSERT_EQ(hit_a.has_value(), hit_b.has_value()) << "page " << p;
+      if (hit_a) {
+        ASSERT_EQ(hit_a->bank, hit_b->bank);
+      } else {
+        ASSERT_NO_FATAL_FAILURE(expect_same_insert(a.insert(p), b.insert(p)));
+      }
+    }
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(a.dirty_count(), b.dirty_count());
+  }
+  expect_same_state(a, b, page_space);
+}
+
+TEST(LruCacheFillTest, MatchesStreamedInserts) {
+  std::uint64_t seed = 1;
+  for (const FillShape& shape : kFillShapes) {
+    for (const bool shared : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << shape.name
+                                        << (shared ? ", shared" : ", owned"));
+      CacheUnderTest streamed(shape, shared);
+      CacheUnderTest filled(shape, shared);
+      for (PageId p = 0; p < shape.n; ++p) streamed.cache.insert(p);
+      filled.cache.fill_in_order(shape.n);
+      const std::uint64_t page_space = 2 * shape.n + 2 * shape.total_frames;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_state(streamed.cache, filled.cache, page_space));
+      EXPECT_EQ(filled.cache.size(), std::min(shape.n, shape.capacity));
+      ASSERT_NO_FATAL_FAILURE(drive_identically(
+          streamed.cache, filled.cache, page_space, seed++));
+    }
+  }
+}
+
+TEST(LruCacheFillTest, ResidentPagesSitAtPageModCapacity) {
+  // 2.5 x capacity: pages 60..99 resident, 99 at MRU, 60 at LRU, and page
+  // p's frame (reported back through the bank of a hit) is p % 40.
+  LruCache c(LruCacheOptions{64, 8, 40});
+  c.fill_in_order(100);
+  const auto order = c.lru_order();
+  ASSERT_EQ(order.size(), 40u);
+  EXPECT_EQ(order.front(), 99u);
+  EXPECT_EQ(order.back(), 60u);
+  for (PageId p = 60; p < 100; ++p) {
+    const auto hit = c.lookup(p);
+    ASSERT_TRUE(hit.has_value()) << "page " << p;
+    EXPECT_EQ(hit->bank, (p % 40) / 8) << "page " << p;
+  }
+  EXPECT_FALSE(c.contains(59));
+  for (BankIndex b = 0; b < 5; ++b) EXPECT_EQ(c.bank_population(b), 8u);
+  for (BankIndex b = 5; b < 8; ++b) EXPECT_EQ(c.bank_population(b), 0u);
+}
+
+TEST(LruCacheFillTest, TotalFramesReportsPhysicalMemory) {
+  // Frame nodes exist only for the banks in use; the physical count is
+  // what set_capacity checks against and what callers size by.
+  LruCache c(LruCacheOptions{/*total_frames=*/1024, /*frames_per_bank=*/16,
+                             /*capacity_frames=*/1024});
+  EXPECT_EQ(c.total_frames(), 1024u);
+  c.fill_in_order(20);  // two banks in use
+  EXPECT_EQ(c.total_frames(), 1024u);
+  EXPECT_EQ(c.bank_count(), 64u);
+  c.set_capacity(1024);  // the whole physical memory stays addressable
+  for (PageId p = 20; p < 1024; ++p) c.insert(p);
+  EXPECT_EQ(c.size(), 1024u);
+  EXPECT_EQ(c.total_frames(), 1024u);
+  EXPECT_THROW(c.set_capacity(1025), CheckError);
+}
+
+TEST(LruCacheFillTest, NeverUsedBankInvalidatesToNothing) {
+  LruCache c(small_options(16));
+  c.fill_in_order(6);  // banks 0 and 1 in use; 2 and 3 never were
+  const auto before = c.lru_order();
+  EXPECT_EQ(c.invalidate_bank(3), 0u);
+  EXPECT_EQ(c.invalidate_bank(2), 0u);
+  EXPECT_EQ(c.lru_order(), before);
+  EXPECT_EQ(c.invalidate_bank(1), 2u);
+  EXPECT_EQ(c.size(), 4u);
+}
+
+TEST(LruCacheFillTest, RefusesAUsedCacheAndZeroCapacity) {
+  LruCache used(small_options());
+  used.insert(3);
+  EXPECT_THROW(used.fill_in_order(4), CheckError);
+
+  // Like the first streamed insert, a fill into a zero-capacity cache fails;
+  // an empty fill does nothing.
+  LruCache empty(small_options(1));
+  empty.set_capacity(0);
+  empty.fill_in_order(0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_THROW(empty.fill_in_order(1), CheckError);
 }
 
 }  // namespace

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "jpm/cache/lru_cache.h"
+#include "jpm/util/check.h"
 #include "jpm/util/rng.h"
+#include "jpm/util/units.h"
+#include "jpm/workload/synthesizer.h"
+#include "jpm/workload/trace.h"
 
 namespace jpm::cache {
 namespace {
@@ -164,6 +169,110 @@ TEST(StackDistanceTest, SequentialScanDepthsEqualWorkingSetSize) {
   for (std::uint64_t p = 0; p < n; ++p) t.access(p);
   // Second scan: every page is at depth n.
   for (std::uint64_t p = 0; p < n; ++p) EXPECT_EQ(t.access(p), n);
+}
+
+// fill_in_order(n) must leave the state that access(0), ..., access(n - 1)
+// leaves on a fresh tracker. The tree sizes differ (the streamed tracker is
+// wherever its compactions left it), which no depth may show: random
+// accesses — re-accesses of filled pages and first touches of pages >= n —
+// must report identical depths, through several compactions on either side.
+TEST(StackDistanceTest, FillInOrderMatchesStreamedAccesses) {
+  std::uint64_t seed = 500;
+  for (const std::uint64_t n : {0, 1, 100, 1023, 1024, 1025, 8192, 20000}) {
+    for (const bool shared : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n = " << n << (shared ? ", shared" : ", owned"));
+      PageTable streamed_table, filled_table;
+      StackDistanceTracker streamed(shared ? &streamed_table : nullptr);
+      StackDistanceTracker filled(shared ? &filled_table : nullptr);
+      for (std::uint64_t p = 0; p < n; ++p) {
+        ASSERT_EQ(streamed.access(p), kColdAccess);
+      }
+      filled.fill_in_order(n);
+      ASSERT_EQ(filled.distinct_pages(), streamed.distinct_pages());
+      ASSERT_EQ(filled.total_accesses(), streamed.total_accesses());
+      Rng rng(seed++);
+      const std::uint64_t page_space = 2 * n + 64;
+      for (int i = 0; i < 30000; ++i) {
+        const std::uint64_t page = rng.chance(0.5)
+                                       ? rng.uniform_index(page_space)
+                                       : rng.uniform_index(n / 8 + 16);
+        ASSERT_EQ(filled.access(page), streamed.access(page)) << "iter " << i;
+      }
+      EXPECT_EQ(filled.distinct_pages(), streamed.distinct_pages());
+      EXPECT_EQ(filled.total_accesses(), streamed.total_accesses());
+    }
+  }
+}
+
+TEST(StackDistanceTest, FillInOrderPlacesPagesByRecency) {
+  StackDistanceTracker t;
+  t.fill_in_order(10);
+  EXPECT_EQ(t.distinct_pages(), 10u);
+  EXPECT_EQ(t.total_accesses(), 10u);
+  EXPECT_EQ(t.access(9), 1u);   // the last page filled is at the top
+  EXPECT_EQ(t.access(0), 10u);  // the first is at the bottom
+  EXPECT_EQ(t.access(10), kColdAccess);
+
+  StackDistanceTracker used;
+  used.access(3);
+  EXPECT_THROW(used.fill_in_order(4), CheckError);
+}
+
+// LRU's inclusion property after a warm start (paper Fig. 3): once a
+// tracker and LRU caches of several capacities are filled with the data set
+// in page order, every read of a synthesized trace misses in a cache exactly
+// when the tracker's depth exceeds that cache's capacity. A wrong closed
+// form on either side breaks the equivalence — and it is the prediction
+// the joint manager sizes memory by.
+TEST(StackDistanceTest, WarmStartInclusionPredictsEveryLruMiss) {
+  workload::SynthesizerConfig w;
+  w.dataset_bytes = mib(64);
+  w.byte_rate = 8e6;
+  w.popularity = 0.1;
+  w.duration_s = 120.0;
+  w.page_bytes = 64 * kKiB;
+  w.temporal_locality = 0.5;
+  w.seed = 21;
+  const workload::Trace trace = workload::synthesize_trace(w);
+  const std::uint64_t n = trace.total_pages;
+  ASSERT_GT(n, 64u);
+  ASSERT_GT(trace.size(), 10000u);
+
+  StackDistanceTracker tracker;
+  tracker.fill_in_order(n);
+  constexpr std::uint64_t kFramesPerBank = 16;
+  const std::uint64_t physical =
+      (2 * n + kFramesPerBank - 1) / kFramesPerBank * kFramesPerBank;
+  std::vector<std::unique_ptr<LruCache>> caches;
+  for (const std::uint64_t capacity : {n / 4, n / 2, n, 2 * n}) {
+    caches.push_back(std::make_unique<LruCache>(
+        LruCacheOptions{physical, kFramesPerBank, capacity}));
+    caches.back()->fill_in_order(n);
+  }
+  std::vector<std::uint64_t> misses(caches.size(), 0);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::uint64_t page = trace.pages[i];
+    ASSERT_LT(page, n);
+    ASSERT_EQ(trace.flags[i] & workload::kTraceFlagWrite, 0);
+    const std::uint64_t depth = tracker.access(page);
+    ASSERT_NE(depth, kColdAccess) << "event " << i;
+    for (std::size_t c = 0; c < caches.size(); ++c) {
+      const bool miss = !caches[c]->lookup(page).has_value();
+      ASSERT_EQ(miss, depth > caches[c]->capacity())
+          << "event " << i << ", capacity " << caches[c]->capacity();
+      if (miss) {
+        caches[c]->insert(page);
+        ++misses[c];
+      }
+    }
+  }
+  // Misses fall as capacity grows; a cache holding the whole data set
+  // never misses after the warm start.
+  EXPECT_GT(misses[0], misses[1]);
+  EXPECT_GE(misses[1], misses[2]);
+  EXPECT_EQ(misses[2], 0u);
+  EXPECT_EQ(misses[3], 0u);
 }
 
 }  // namespace
