@@ -2,18 +2,22 @@
 
 #include <algorithm>
 
+#include "jpm/util/hugepage.h"
+
 namespace jpm::cache {
 
 LruCache::LruCache(const LruCacheOptions& options, PageTable* shared)
     : frames_per_bank_(options.frames_per_bank),
-      capacity_(options.capacity_frames),
-      nodes_(util::ArenaAllocator<Node>(options.arena)) {
+      capacity_(options.capacity_frames) {
   JPM_CHECK(options.total_frames > 0);
   JPM_CHECK(options.frames_per_bank > 0);
   JPM_CHECK(options.capacity_frames <= options.total_frames);
   JPM_CHECK_MSG(options.total_frames % options.frames_per_bank == 0,
                 "total frames must be a whole number of banks");
   nodes_.reserve(options.total_frames);
+  // Before any node is built: a hint given after the pages have faulted in
+  // at 4 KiB would leave them there.
+  util::advise_hugepages(nodes_.data(), options.total_frames * sizeof(Node));
   const std::uint64_t banks = options.total_frames / options.frames_per_bank;
   bank_free_.resize(banks);
   bank_population_.assign(banks, 0);

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "jpm/cache/page_table.h"
-#include "jpm/util/arena.h"
 #include "jpm/util/check.h"
 
 namespace jpm::cache {
@@ -37,10 +36,6 @@ struct LruCacheOptions {
   std::uint64_t total_frames = 0;     // physical memory, in frames
   std::uint64_t frames_per_bank = 0;  // bank granularity, in frames
   std::uint64_t capacity_frames = 0;  // initial logical capacity
-  // Optional bump arena for the frame-indexed node array (util/arena.h);
-  // null keeps the nodes on the global heap. The arena must outlive the
-  // cache. Purely a layout choice — never observable in outputs.
-  util::Arena* arena = nullptr;
 };
 
 struct AccessOutcome {
@@ -167,10 +162,10 @@ class LruCache {
   std::uint64_t size_ = 0;
   FrameIndex head_ = kNoFrame;  // MRU
   FrameIndex tail_ = kNoFrame;  // LRU
-  // Indexed by frame; optionally arena-backed (LruCacheOptions::arena).
-  // Covers the used banks only. Capacity for every frame is reserved up
-  // front: growth never moves a node, and the unused tail is never touched.
-  std::vector<Node, util::ArenaAllocator<Node>> nodes_;
+  // Indexed by frame; covers the used banks only. Capacity for every frame
+  // is reserved up front, with a huge-page hint: growth never moves a node,
+  // and the unused tail is never touched.
+  std::vector<Node> nodes_;
   std::unique_ptr<PageTable> owned_table_;  // null when sharing
   PageTable* table_;  // page -> frame lives in each entry's `frame` half
   // Per-bank free-frame stacks plus the set of banks with both free frames

@@ -9,9 +9,8 @@ namespace {
 constexpr std::size_t kInitialSlots = 1024;
 }
 
-StackDistanceTracker::StackDistanceTracker(PageTable* shared,
-                                           util::Arena* arena)
-    : tree_(kInitialSlots, arena) {
+StackDistanceTracker::StackDistanceTracker(PageTable* shared)
+    : tree_(kInitialSlots) {
   if (shared != nullptr) {
     table_ = shared;
   } else {

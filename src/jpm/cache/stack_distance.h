@@ -39,12 +39,8 @@ class StackDistanceTracker {
  public:
   // With no argument the tracker owns its page table; a non-null `shared`
   // table lets callers fuse the page lookup with other per-page state (the
-  // engine shares one table between this tracker and its LruCache). A
-  // non-null `arena` places the counter-tree slot storage on the caller's
-  // bump arena (util/arena.h), keeping it adjacent to the rest of the
-  // hot-path working set; it must outlive the tracker.
-  explicit StackDistanceTracker(PageTable* shared = nullptr,
-                                util::Arena* arena = nullptr);
+  // engine shares one table between this tracker and its LruCache).
+  explicit StackDistanceTracker(PageTable* shared = nullptr);
 
   // Records an access and returns the page's LRU stack depth (1 = MRU
   // re-access) or kColdAccess for a first-ever reference.

@@ -408,10 +408,10 @@ ClusterMetrics ClusterEngine::run() {
     }
   }
   // Per-server pipelines replay disjoint shard blocks and share nothing
-  // mutable, so they fan out as stealable tasks (JPM_THREADS workers,
-  // JPM_SCHED schedule — stealing absorbs stragglers like fault-heavy or
-  // hot-partition servers); each task writes only its own ServerOutcome
-  // slot, so results never depend on the schedule.
+  // mutable, so they fan out as stealable tasks (JPM_THREADS workers;
+  // stealing absorbs stragglers like fault-heavy or hot-partition servers);
+  // each task writes only its own ServerOutcome slot, so results never
+  // depend on the schedule.
   util::parallel_for(config_.server_count, [&](std::size_t s) {
     ServerOutcome& server = out.servers[s];
     server.requests = shards.request_counts[s];

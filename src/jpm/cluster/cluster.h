@@ -25,7 +25,7 @@
 // per-server vector<vector<...>> heap scatter — and servers execute as
 // stealable tasks on the work-stealing pool. Every task writes only its own
 // preallocated ServerOutcome slot and metrics reduce in fixed server order,
-// so aggregates are byte-stable at any JPM_THREADS / JPM_SCHED.
+// so aggregates are byte-stable at any JPM_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -176,7 +176,7 @@ struct ClusterSweepPoint {
 // run model-major and each model is freed after its last job. Results sit in
 // preallocated slots and `progress` lines are emitted in canonical job order
 // (point-major, roster order), so output is bit-identical at any
-// JPM_THREADS / JPM_SCHED. Unlike sim::run_sweep there is no
+// JPM_THREADS. Unlike sim::run_sweep there is no
 // always-on-baseline requirement (cluster metrics are absolute, not
 // normalized). Axis coordinates on the workloads surface as `axis/<name>`
 // gauges on each job's telemetry run.

@@ -19,7 +19,6 @@
 #include "jpm/mem/bank_set.h"
 #include "jpm/telemetry/registry.h"
 #include "jpm/telemetry/telemetry.h"
-#include "jpm/util/arena.h"
 #include "jpm/util/check.h"
 #include "jpm/workload/trace.h"
 
@@ -35,11 +34,6 @@ struct Engine::Impl {
   std::unique_ptr<disk::TimeoutPolicy> timeout_policy;
   disk::DynamicTimeout* dynamic_timeout = nullptr;  // set for joint runs
   std::unique_ptr<disk::Storage> disk;
-  // Bump arena backing the frame-node array and the tracker's counter tree:
-  // the per-event loop walks both, and arena placement keeps them in one
-  // contiguous region instead of scattered heap blocks. Declared before its
-  // users so it outlives them.
-  util::Arena arena;
   // One page table shared by the LRU cache and (in joint runs) the
   // stack-distance tracker: the hot loop resolves each event's page with a
   // single lookup and hands the entry to both. Declared before its users so
@@ -237,10 +231,9 @@ struct Engine::Impl {
                 policy.fixed_bytes <= jc.physical_bytes);
       capacity_frames = policy.fixed_bytes / jc.page_bytes;
     }
-    cache::LruCacheOptions lru_opts{total_frames, frames_per_bank,
-                                    capacity_frames};
-    lru_opts.arena = &arena;
-    lru = std::make_unique<cache::LruCache>(lru_opts, &page_table);
+    lru = std::make_unique<cache::LruCache>(
+        cache::LruCacheOptions{total_frames, frames_per_bank, capacity_frames},
+        &page_table);
 
     // Memory static-energy accounting.
     const auto bank_count =
@@ -270,8 +263,7 @@ struct Engine::Impl {
       JPM_CHECK_MSG(policy.joint_disk() && policy.joint_memory(),
                     "joint disk and joint memory policies must be used "
                     "together");
-      tracker =
-          std::make_unique<cache::StackDistanceTracker>(&page_table, &arena);
+      tracker = std::make_unique<cache::StackDistanceTracker>(&page_table);
       // The closed-loop guard only engages through an enabled fault plan;
       // otherwise the manager keeps the paper's open-loop behavior.
       const fault::ManagerGuardConfig guard =

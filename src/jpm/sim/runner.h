@@ -72,9 +72,9 @@ struct SweepWorkload {
 // is synthesized (or mmap'd) once and shared read-only by all of its policy
 // runs; points sharing a workload model (workload::SharedModels) share its
 // popularity solve too. The runs fan out as stealable tasks (JPM_THREADS
-// workers, default hardware concurrency, 1 = serial; JPM_SCHED picks the
-// schedule) — results are bit-identical regardless of worker count or
-// schedule. `progress` (optional) is invoked with a human-readable line per
+// workers, default hardware concurrency, 1 = serial) — results are
+// bit-identical regardless of worker count or which worker ran which task.
+// `progress` (optional) is invoked with a human-readable line per
 // run, serialized and in deterministic job order (point-major, each point's
 // baseline first) regardless of completion order.
 std::vector<SweepPoint> run_sweep(

@@ -1,10 +1,9 @@
 // jpm::telemetry — deterministic structured tracing for the simulator.
 //
 // Design goals, in order:
-//   1. Zero overhead when disabled. TELEM_EVENT compiles away entirely for
-//      categories masked out at build time (JPM_TELEM_COMPILED_CATEGORIES),
-//      and costs one relaxed atomic load + branch when compiled in but no
-//      session is active.
+//   1. Near-zero overhead when disabled. TELEM_EVENT costs one relaxed
+//      atomic load + branch when no session is active or its category is
+//      filtered out at run time.
 //   2. Deterministic output. Events are buffered in a lock-free per-thread
 //      ring and attributed to *streams* (one per simulation run), which are
 //      registered in structural order — point-major, roster order — before
@@ -35,14 +34,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
-
-// Compile-time category filter: a bitmask of Category values. Categories
-// outside the mask compile to nothing — no load, no branch. Defaults to
-// everything; override with -DJPM_TELEM_COMPILED_CATEGORIES=0x... (see the
-// JPM_TELEM_CATEGORIES CMake cache variable).
-#ifndef JPM_TELEM_COMPILED_CATEGORIES
-#define JPM_TELEM_COMPILED_CATEGORIES 0xffffffffu
-#endif
 
 namespace jpm::telemetry {
 
@@ -196,19 +187,15 @@ class SpanTimer {
 
 }  // namespace jpm::telemetry
 
-// Structured trace event with compile-time category filtering.
+// Structured trace event, gated on the runtime category mask.
 //   TELEM_EVENT(kDisk, "spin_up", t, {"wait_s", w}, {"spindle", 0.0});
 // `cat` is a bare Category enumerator name; `name` and arg keys must be
 // string literals; arg values convert to double. Up to kMaxEventArgs args.
 #define TELEM_EVENT(cat, name, sim_time_s, ...)                               \
   do {                                                                        \
-    if constexpr ((static_cast<std::uint32_t>(                                \
-                       ::jpm::telemetry::Category::cat) &                     \
-                   (JPM_TELEM_COMPILED_CATEGORIES)) != 0u) {                  \
-      if (::jpm::telemetry::category_enabled(                                 \
-              ::jpm::telemetry::Category::cat)) {                             \
-        ::jpm::telemetry::emit(::jpm::telemetry::Category::cat, (name),       \
-                               (sim_time_s), {__VA_ARGS__});                  \
-      }                                                                       \
+    if (::jpm::telemetry::category_enabled(                                   \
+            ::jpm::telemetry::Category::cat)) {                               \
+      ::jpm::telemetry::emit(::jpm::telemetry::Category::cat, (name),         \
+                             (sim_time_s), {__VA_ARGS__});                    \
     }                                                                         \
   } while (0)

@@ -42,7 +42,6 @@
 #include <emmintrin.h>
 #endif
 
-#include "jpm/util/arena.h"
 #include "jpm/util/check.h"
 #include "jpm/util/prefetch.h"
 
@@ -196,15 +195,6 @@ class CounterTree {
  public:
   CounterTree() = default;
   explicit CounterTree(std::size_t size) { reset(size); }
-  // Arena-backed storage (util/arena.h): the tree then lives next to the
-  // rest of the hot-path working set. Capacity only ever grows, so arena
-  // waste from resizes is geometrically bounded.
-  CounterTree(std::size_t size, util::Arena* arena)
-      : words_(util::ArenaAllocator<std::uint64_t>(arena)),
-        c1_store_(util::ArenaAllocator<std::uint64_t>(arena)),
-        arena_(arena) {
-    reset(size);
-  }
 
   std::size_t size() const { return size_; }
   // Number of marked slots.
@@ -251,9 +241,7 @@ class CounterTree {
     std::uint64_t span = 64 * 64;
     while (count > 64) {
       count = (count + 63) / 64;
-      if (levels == upper_.size()) {
-        upper_.emplace_back(util::ArenaAllocator<std::uint32_t>(arena_));
-      }
+      if (levels == upper_.size()) upper_.emplace_back();
       auto& level = upper_[levels];
       level.assign(count, 0);
       for (std::size_t j = 0; j < count; ++j) {
@@ -406,9 +394,6 @@ class CounterTree {
   }
 
  private:
-  template <typename T>
-  using Vec = std::vector<T, util::ArenaAllocator<T>>;
-
   // 64-byte-aligned start of the c1 byte lane inside c1_store_. Recomputed
   // from the offset on every use (not cached as a pointer) so copies and
   // reallocations can never leave a dangling base.
@@ -419,14 +404,13 @@ class CounterTree {
     return reinterpret_cast<const unsigned char*>(c1_store_.data()) + c1_off_;
   }
 
-  Vec<std::uint64_t> words_;
-  Vec<std::uint64_t> c1_store_;  // u8 counters, one 64 B line per 64 words
-  std::size_t c1_off_ = 0;       // bytes from data() to the aligned base
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> c1_store_;  // u8 counters, 64 B per 64 words
+  std::size_t c1_off_ = 0;  // bytes from data() to the aligned base
   // Upper counter levels, bottom-up; each entry covers 64x the level below.
   // At most 4 levels for 2^32 slots, usually 0-2; kept in plain vectors
   // (the outer vector is cold — only the per-level arrays are hot).
-  std::vector<Vec<std::uint32_t>> upper_;
-  util::Arena* arena_ = nullptr;
+  std::vector<std::vector<std::uint32_t>> upper_;
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
 };

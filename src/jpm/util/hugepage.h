@@ -1,13 +1,14 @@
 // Transparent-huge-page hint for large hot-path allocations.
 //
-// The simulator's big arrays — the page table's slot vector, arena blocks,
-// per-period event lanes — are tens of megabytes probed at random. On 4 KiB
-// pages that working set overflows the dTLB, so nearly every probe adds a
-// page walk on top of its cache miss. Most distros ship THP in `madvise`
-// mode, where the kernel only uses 2 MiB pages for ranges that ask; this
-// helper is that ask. Purely advisory: results, determinism, and portability
-// are unaffected (non-Linux builds compile it away), and callers may pass
-// any heap range — the hint is applied to the whole-page subrange.
+// Its caller is LruCache's frame-node array: 24 bytes per frame of physical
+// memory (201 MB at 128 GB and 16 kB pages), reserved up front and spliced
+// at random by the per-event loop. On 4 KiB pages that working set
+// overflows the dTLB, so nearly every splice adds a page walk on top of its
+// cache miss. Most distros ship THP in `madvise` mode, where the kernel only
+// uses 2 MiB pages for ranges that ask; this helper is that ask. Purely
+// advisory: results, determinism, and portability are unaffected (non-Linux
+// builds compile it away), and callers may pass any heap range — the hint
+// is applied to the whole-page subrange.
 #pragma once
 
 #include <cstddef>

@@ -1,31 +1,23 @@
 // Fork-join parallelism for the simulator's embarrassingly parallel loops
 // (policy sweeps, per-server cluster pipelines, per-point trace synthesis).
 //
-// Two schedulers share one contract:
+// One schedule: each worker starts with a contiguous slice of [0, n) held in
+// a per-worker atomic range (the chunk queue); the owner pops indices from
+// the front, and a worker whose slice runs dry steals the back half of a
+// victim's remaining range. Straggler-heavy mixes (fault-injected runs,
+// skewed sweep grids) rebalance automatically.
 //
-//   * kStatic — worker w executes indices w, w + W, w + 2W, … with no work
-//     stealing. The task -> thread mapping is fixed; wall-clock suffers when
-//     per-task costs are skewed (one stripe drags the join).
-//   * kSteal — the default. Each worker starts with a contiguous slice of
-//     [0, n) held in a per-worker atomic range (the chunk queue); the owner
-//     pops indices from the front, and a worker whose slice runs dry steals
-//     the back half of a victim's remaining range. Straggler-heavy mixes
-//     (fault-injected runs, skewed sweep grids) rebalance automatically.
-//
-// Determinism never depends on which scheduler ran: every task writes only
-// its own preallocated output slot and reductions happen in fixed index
-// order after the join, so results are bit-identical at any JPM_THREADS and
-// either JPM_SCHED. Only wall-clock differs.
+// Determinism never depends on the schedule: every task writes only its own
+// preallocated output slot and reductions happen in fixed index order after
+// the join, so results are bit-identical at any JPM_THREADS. Only
+// wall-clock differs.
 //
 // The body is a template parameter — no per-task std::function dispatch on
-// the hot path. A thin std::function overload remains for call sites that
-// need type erasure.
+// the hot path.
 //
-// Knobs (environment):
-//   JPM_THREADS  worker count; 1 = the exact serial legacy path, run inline
-//                on the caller; unset = std::thread::hardware_concurrency().
-//   JPM_SCHED    "steal" (default) or "static" — the escape hatch back to
-//                fixed striping.
+// Knob (environment):
+//   JPM_THREADS  worker count; 1 = the exact serial path, run inline on the
+//                caller; unset = std::thread::hardware_concurrency().
 //
 // Nested parallelism: a parallel_for issued from inside a pool task runs
 // inline on that worker (serial). This keeps e.g. a cluster-sweep outer loop
@@ -33,32 +25,28 @@
 // the inner loop's slot-writing determinism trivially intact.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "jpm/util/check.h"
 
 namespace jpm::util {
 
-// Worker count for the parallel_for overloads that do not take one:
+// Worker count for the parallel_for overload that does not take one:
 // JPM_THREADS when set to a positive integer, else hardware concurrency
 // (falling back to 1 when that is unknown).
 unsigned default_thread_count();
 
-enum class SchedMode { kStatic, kSteal };
-
-// JPM_SCHED when set to a known name ("static", "steal"), else kSteal.
-SchedMode default_sched_mode();
-
 namespace detail {
 
-// Set while the current thread is executing tasks inside a TaskPool region;
+// Set while the current thread is executing tasks inside a parallel region;
 // nested parallel_for calls observe it and run inline. constinit tells every
 // includer that the flag needs no dynamic initialization, so it is accessed
 // directly rather than through the thread_local wrapper function; on that
@@ -73,15 +61,13 @@ struct ErrorSlot {
   std::mutex mu;
 
   template <typename Fn>
-  bool run_guarded(Fn&& fn) {
+  void run_guarded(Fn&& fn) {
     try {
       fn();
-      return true;
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mu);
       if (!first) first = std::current_exception();
       failed.store(true, std::memory_order_relaxed);
-      return false;
     }
   }
 };
@@ -137,158 +123,102 @@ struct alignas(64) WorkerRange {
   }
 };
 
+// The stealing loop behind parallel_for, for 2 <= workers <= n: spawns
+// workers - 1 threads (the caller is worker 0), runs body(i) for every i in
+// [0, n) exactly once, and joins before returning.
+template <typename Body>
+void run_stealing(std::size_t n, unsigned workers, Body& body) {
+  JPM_CHECK_MSG(n <= 0xffffffffull,
+                "parallel_for supports at most 2^32 - 1 tasks");
+  const auto n32 = static_cast<std::uint32_t>(n);
+
+  // Initial even split of [0, n) into per-worker contiguous slices.
+  std::vector<WorkerRange> ranges(workers);
+  for (unsigned w = 0; w < workers; ++w) {
+    const auto b = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(n32) * w) / workers);
+    const auto e = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(n32) * (w + 1)) / workers);
+    ranges[w].range.store(WorkerRange::pack(b, e), std::memory_order_relaxed);
+  }
+  std::atomic<std::size_t> remaining{n};
+  ErrorSlot errors;
+
+  const auto run_worker = [&](unsigned self) {
+    tl_in_parallel_region = true;
+    const auto execute = [&](std::uint32_t i) {
+      // A failed task still counts as done: a failed region stops
+      // scheduling, and the join below must not wait for tasks nobody will
+      // run.
+      errors.run_guarded([&] { body(static_cast<std::size_t>(i)); });
+      remaining.fetch_sub(1, std::memory_order_acq_rel);
+    };
+    std::uint32_t i = 0;
+    while (!errors.failed.load(std::memory_order_relaxed)) {
+      // Drain the local queue first.
+      if (ranges[self].pop_front(&i)) {
+        execute(i);
+        continue;
+      }
+      // Local queue dry: steal the back half of the fullest victim.
+      unsigned victim = workers;
+      std::uint32_t best = 1;  // require at least 2 remaining to steal
+      for (unsigned step = 1; step < workers; ++step) {
+        const unsigned v = (self + step) % workers;
+        const std::uint64_t r = ranges[v].range.load(std::memory_order_acquire);
+        const std::uint32_t len =
+            WorkerRange::end_of(r) - WorkerRange::begin_of(r);
+        if (len > best) {
+          best = len;
+          victim = v;
+        }
+      }
+      std::uint32_t sb = 0, se = 0;
+      if (victim < workers && ranges[victim].steal_back(&sb, &se)) {
+        ranges[self].range.store(WorkerRange::pack(sb, se),
+                                 std::memory_order_release);
+        continue;
+      }
+      // Nothing stealable. Tasks may still be in flight on other workers
+      // (whose final splits could become stealable); yield until the
+      // region drains rather than exiting early.
+      if (remaining.load(std::memory_order_acquire) == 0) break;
+      std::this_thread::yield();
+    }
+    tl_in_parallel_region = false;
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (unsigned w = 1; w < workers; ++w) pool.emplace_back(run_worker, w);
+  run_worker(0);  // the caller is worker 0
+  for (auto& t : pool) t.join();
+  if (errors.first) std::rethrow_exception(errors.first);
+}
+
 }  // namespace detail
 
-// The fork-join execution engine behind parallel_for. One run() call is one
-// region: workers are spawned, execute body(i) for every i in [0, n)
-// exactly once, and join before run() returns. Exposed (rather than hidden
-// in parallel_for) so the scheduler itself is unit-testable with an explicit
-// worker count and mode.
-class TaskPool {
- public:
-  // Blocks until every task finished. If tasks throw, the first exception
-  // (in worker-observation order) is rethrown on the caller after all
-  // workers have stopped; tasks not yet started are skipped. With
-  // workers <= 1, n <= 1, or from inside another pool region, the loop runs
-  // inline on the calling thread (the serial path).
-  template <typename Body>
-  static void run(std::size_t n, unsigned workers, SchedMode mode,
-                  Body&& body) {
-    if (n == 0) return;
-    const std::size_t spread = std::min<std::size_t>(
-        workers == 0 ? 1 : workers, n);
-    if (spread <= 1 || detail::tl_in_parallel_region) {
-      run_inline(n, body);
-      return;
-    }
-    if (mode == SchedMode::kSteal) {
-      run_steal(n, static_cast<unsigned>(spread), body);
-    } else {
-      run_static(n, static_cast<unsigned>(spread), body);
-    }
-  }
-
- private:
-  template <typename Body>
-  static void run_inline(std::size_t n, Body& body) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-
-  // The legacy fixed-stripe schedule (JPM_SCHED=static).
-  template <typename Body>
-  static void run_static(std::size_t n, unsigned workers, Body& body) {
-    detail::ErrorSlot errors;
-    const auto run_stripe = [&](std::size_t w) {
-      detail::tl_in_parallel_region = true;
-      for (std::size_t i = w; i < n; i += workers) {
-        if (errors.failed.load(std::memory_order_relaxed)) break;
-        if (!errors.run_guarded([&] { body(i); })) break;
-      }
-      detail::tl_in_parallel_region = false;
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(run_stripe, w);
-    run_stripe(0);  // the caller is worker 0
-    for (auto& t : pool) t.join();
-    if (errors.first) std::rethrow_exception(errors.first);
-  }
-
-  // The chunk-queue/work-stealing schedule (JPM_SCHED=steal, the default).
-  template <typename Body>
-  static void run_steal(std::size_t n, unsigned workers, Body& body) {
-    JPM_CHECK_MSG(n <= 0xffffffffull,
-                  "parallel_for supports at most 2^32 - 1 tasks");
-    const auto n32 = static_cast<std::uint32_t>(n);
-
-    // Initial even split of [0, n) into per-worker contiguous slices.
-    std::vector<detail::WorkerRange> ranges(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      const auto b = static_cast<std::uint32_t>(
-          (static_cast<std::uint64_t>(n32) * w) / workers);
-      const auto e = static_cast<std::uint32_t>(
-          (static_cast<std::uint64_t>(n32) * (w + 1)) / workers);
-      ranges[w].range.store(detail::WorkerRange::pack(b, e),
-                            std::memory_order_relaxed);
-    }
-    std::atomic<std::size_t> remaining{n};
-    detail::ErrorSlot errors;
-
-    const auto run_worker = [&](unsigned self) {
-      detail::tl_in_parallel_region = true;
-      const auto execute = [&](std::uint32_t i) {
-        if (errors.run_guarded([&] { body(static_cast<std::size_t>(i)); })) {
-          remaining.fetch_sub(1, std::memory_order_acq_rel);
-        } else {
-          // A failed region stops scheduling; the join below must not wait
-          // for tasks nobody will run, so the failing task still counts.
-          remaining.fetch_sub(1, std::memory_order_acq_rel);
-        }
-      };
-      std::uint32_t i = 0;
-      while (!errors.failed.load(std::memory_order_relaxed)) {
-        // Drain the local queue first.
-        if (ranges[self].pop_front(&i)) {
-          execute(i);
-          continue;
-        }
-        // Local queue dry: steal the back half of the fullest victim.
-        unsigned victim = workers;
-        std::uint32_t best = 1;  // require at least 2 remaining to steal
-        for (unsigned step = 1; step < workers; ++step) {
-          const unsigned v = (self + step) % workers;
-          const std::uint64_t r =
-              ranges[v].range.load(std::memory_order_acquire);
-          const std::uint32_t len = detail::WorkerRange::end_of(r) -
-                                    detail::WorkerRange::begin_of(r);
-          if (len > best) {
-            best = len;
-            victim = v;
-          }
-        }
-        std::uint32_t sb = 0, se = 0;
-        if (victim < workers && ranges[victim].steal_back(&sb, &se)) {
-          ranges[self].range.store(detail::WorkerRange::pack(sb, se),
-                                   std::memory_order_release);
-          continue;
-        }
-        // Nothing stealable. Tasks may still be in flight on other workers
-        // (whose final splits could become stealable); yield until the
-        // region drains rather than exiting early.
-        if (remaining.load(std::memory_order_acquire) == 0) break;
-        std::this_thread::yield();
-      }
-      detail::tl_in_parallel_region = false;
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(run_worker, w);
-    run_worker(0);  // the caller is worker 0
-    for (auto& t : pool) t.join();
-    if (errors.first) std::rethrow_exception(errors.first);
-  }
-};
-
-// Runs body(i) for every i in [0, n) across `workers` threads under `mode`
-// (see TaskPool::run for the contract).
+// Runs body(i) for every i in [0, n) across `workers` threads and returns
+// once every task finished. If tasks throw, the first exception (in
+// worker-observation order) is rethrown on the caller after all workers
+// have stopped; tasks not yet started are skipped. With workers <= 1,
+// n <= 1, or from inside another parallel region, the loop runs inline on
+// the calling thread, in index order (the serial path).
 template <typename Body>
 void parallel_for(std::size_t n, unsigned workers, Body&& body) {
-  TaskPool::run(n, workers, default_sched_mode(), std::forward<Body>(body));
+  const std::size_t spread =
+      std::min<std::size_t>(workers == 0 ? 1 : workers, n);
+  if (spread <= 1 || detail::tl_in_parallel_region) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  detail::run_stealing(n, static_cast<unsigned>(spread), body);
 }
 
 // Same, with workers = default_thread_count().
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body) {
-  TaskPool::run(n, default_thread_count(), default_sched_mode(),
-                std::forward<Body>(body));
+  parallel_for(n, default_thread_count(), std::forward<Body>(body));
 }
-
-// Type-erased compatibility shim (non-template call sites, e.g. across a
-// stable ABI boundary). Prefer the template: it avoids one indirect call per
-// task.
-void parallel_for(std::size_t n, unsigned workers,
-                  const std::function<void(std::size_t)>& body);
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace jpm::util

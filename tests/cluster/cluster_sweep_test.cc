@@ -2,9 +2,9 @@
 // run_cluster_sweep fan-out. The determinism contract is the headline — a
 // straggler-heavy, fault-injected cluster sweep (server crashes, spin-up
 // failures, a dense point next to a sparse one) must produce bit-identical
-// metrics and an identical progress stream at any JPM_THREADS and either
-// JPM_SCHED. Points sharing a workload model must match clusters that built
-// their own, and an invalid point must fail the sweep with its config error.
+// metrics and an identical progress stream at any JPM_THREADS. Points
+// sharing a workload model must match clusters that built their own, and an
+// invalid point must fail the sweep with its config error.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -153,10 +153,8 @@ std::vector<sim::PolicySpec> sweep_roster() {
 }
 
 std::vector<ClusterSweepPoint> sweep_under(const char* threads,
-                                           const char* sched,
                                            std::vector<std::string>* lines) {
   ScopedEnv t("JPM_THREADS", threads);
-  ScopedEnv s("JPM_SCHED", sched);
   return run_cluster_sweep(faulted_cluster(), straggler_workloads(),
                            sweep_roster(), [lines](const std::string& line) {
                              lines->push_back(line);
@@ -224,7 +222,7 @@ void expect_points_bit_identical(const std::vector<ClusterSweepPoint>& a,
 
 TEST(ClusterSweepDeterminismTest, FaultedStragglerSweepIsScheduleInvariant) {
   std::vector<std::string> serial_lines;
-  const auto serial = sweep_under("1", "static", &serial_lines);
+  const auto serial = sweep_under("1", &serial_lines);
 
   // The fault plan must actually fire, or this degenerates into the
   // fault-free case: crashes routed requests off dead servers.
@@ -239,13 +237,10 @@ TEST(ClusterSweepDeterminismTest, FaultedStragglerSweepIsScheduleInvariant) {
   EXPECT_TRUE(any_failover);
   EXPECT_TRUE(any_reliability);
 
-  for (const auto& [threads, sched] :
-       std::vector<std::pair<const char*, const char*>>{
-           {"1", "steal"}, {"4", "steal"}, {"8", "steal"}, {"4", "static"}}) {
-    SCOPED_TRACE(std::string("JPM_THREADS=") + threads + " JPM_SCHED=" +
-                 sched);
+  for (const char* threads : {"1", "4", "8"}) {
+    SCOPED_TRACE(std::string("JPM_THREADS=") + threads);
     std::vector<std::string> lines;
-    const auto parallel = sweep_under(threads, sched, &lines);
+    const auto parallel = sweep_under(threads, &lines);
     expect_points_bit_identical(serial, parallel);
     EXPECT_EQ(lines, serial_lines);
   }
@@ -253,7 +248,7 @@ TEST(ClusterSweepDeterminismTest, FaultedStragglerSweepIsScheduleInvariant) {
 
 TEST(ClusterSweepDeterminismTest, ProgressLinesArriveInJobOrder) {
   std::vector<std::string> lines;
-  sweep_under("8", "steal", &lines);
+  sweep_under("8", &lines);
   ASSERT_EQ(lines.size(), 4u);  // 2 points x 2 policies, point-major
   EXPECT_EQ(lines[0].rfind("[dense] Joint", 0), 0u) << lines[0];
   EXPECT_EQ(lines[1].rfind("[dense] ", 0), 0u) << lines[1];
@@ -312,25 +307,21 @@ TEST(ClusterSweepModelsTest, SharedModelSweepMatchesUnsharedRuns) {
   }
 
   for (const char* threads : {"1", "4", "8"}) {
-    for (const char* sched : {"static", "steal"}) {
-      SCOPED_TRACE(std::string("JPM_THREADS=") + threads +
-                   " JPM_SCHED=" + sched);
-      const ScopedEnv t("JPM_THREADS", threads);
-      const ScopedEnv s("JPM_SCHED", sched);
-      std::vector<std::string> lines;
-      const auto points = run_cluster_sweep(
-          config, grid, roster,
-          [&](const std::string& line) { lines.push_back(line); });
-      ASSERT_EQ(points.size(), grid.size());
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        for (std::size_t j = 0; j < roster.size(); ++j) {
-          SCOPED_TRACE(points[i].label + "/" + roster[j].name);
-          expect_metrics_bit_identical(points[i].outcomes[j].metrics,
-                                       unshared[i][j]);
-        }
+    SCOPED_TRACE(std::string("JPM_THREADS=") + threads);
+    const ScopedEnv t("JPM_THREADS", threads);
+    std::vector<std::string> lines;
+    const auto points = run_cluster_sweep(
+        config, grid, roster,
+        [&](const std::string& line) { lines.push_back(line); });
+    ASSERT_EQ(points.size(), grid.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      for (std::size_t j = 0; j < roster.size(); ++j) {
+        SCOPED_TRACE(points[i].label + "/" + roster[j].name);
+        expect_metrics_bit_identical(points[i].outcomes[j].metrics,
+                                     unshared[i][j]);
       }
-      EXPECT_EQ(lines, want_lines);
     }
+    EXPECT_EQ(lines, want_lines);
   }
 }
 
@@ -351,17 +342,13 @@ TEST(ClusterSweepModelsTest, InvalidPointFailsWithTheConfigError) {
   };
   for (const auto& [grid, message] : cases) {
     for (const char* threads : {"1", "4", "8"}) {
-      for (const char* sched : {"static", "steal"}) {
-        SCOPED_TRACE(message + " at JPM_THREADS=" + threads +
-                     " JPM_SCHED=" + sched);
-        const ScopedEnv t("JPM_THREADS", threads);
-        const ScopedEnv s("JPM_SCHED", sched);
-        try {
-          run_cluster_sweep(small_cluster(), grid, sweep_roster());
-          ADD_FAILURE() << "the sweep accepted an invalid point";
-        } catch (const std::invalid_argument& e) {
-          EXPECT_EQ(std::string(e.what()), message);
-        }
+      SCOPED_TRACE(message + " at JPM_THREADS=" + threads);
+      const ScopedEnv t("JPM_THREADS", threads);
+      try {
+        run_cluster_sweep(small_cluster(), grid, sweep_roster());
+        ADD_FAILURE() << "the sweep accepted an invalid point";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), message);
       }
     }
   }

@@ -115,7 +115,7 @@ inline Capture run_captured(const spec::Scenario& sc) {
 }
 
 // Checks one scenario against its golden under the current environment
-// (the caller sets JPM_THREADS / JPM_SCHED). Fast mode is always on.
+// (the caller sets JPM_THREADS). Fast mode is always on.
 inline void expect_matches_golden(const std::string& name) {
   const EnvVar fast("JPM_BENCH_FAST", "1");
   const std::string path = kScenarioDir + "/" + name + ".json";

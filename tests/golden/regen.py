@@ -44,7 +44,6 @@ def fnv1a64(data: bytes) -> str:
 def run(jpm: str, scenario: pathlib.Path, tmp: str) -> dict:
     """Returns the golden files (name suffix -> bytes) for one scenario."""
     env = dict(os.environ, JPM_BENCH_FAST="1", JPM_THREADS="4")
-    env.pop("JPM_SCHED", None)
     base = os.path.join(tmp, scenario.stem)
     proc = subprocess.run([jpm, "run", str(scenario), f"--telemetry={base}"],
                           capture_output=True, env=env)

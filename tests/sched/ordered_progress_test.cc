@@ -93,10 +93,8 @@ workload::SynthesizerConfig progress_workload(std::uint64_t seed) {
   return w;
 }
 
-std::vector<std::string> sweep_progress_lines(const char* threads,
-                                              const char* sched) {
+std::vector<std::string> sweep_progress_lines(const char* threads) {
   ScopedEnv t("JPM_THREADS", threads);
-  ScopedEnv s("JPM_SCHED", sched);
   EngineConfig e;
   e.joint.physical_bytes = gib(1);
   e.joint.unit_bytes = 16 * kMiB;
@@ -116,15 +114,14 @@ TEST(OrderedProgressTest, SweepProgressIsInPointOrderNotCompletionOrder) {
   // The serial path defines the expected stream: point-major, each point's
   // baseline first. A stolen 8-worker fan-out completes jobs in some other
   // order but must print the very same sequence.
-  const auto serial = sweep_progress_lines("1", "steal");
+  const auto serial = sweep_progress_lines("1");
   ASSERT_EQ(serial.size(), 4u);
   EXPECT_EQ(serial[0].rfind("[A] ", 0), 0u) << serial[0];
   EXPECT_EQ(serial[1].rfind("[A] ", 0), 0u) << serial[1];
   EXPECT_EQ(serial[2].rfind("[B] ", 0), 0u) << serial[2];
   EXPECT_EQ(serial[3].rfind("[B] ", 0), 0u) << serial[3];
 
-  EXPECT_EQ(sweep_progress_lines("8", "steal"), serial);
-  EXPECT_EQ(sweep_progress_lines("8", "static"), serial);
+  EXPECT_EQ(sweep_progress_lines("8"), serial);
 }
 
 }  // namespace

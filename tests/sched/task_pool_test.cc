@@ -1,15 +1,13 @@
 // The work-stealing scheduler's own contract, tested with explicit worker
-// counts and SchedMode (parallel_test.cc covers the env-driven parallel_for
-// surface): every index runs exactly once under either schedule, exceptions
-// propagate and stop scheduling, a straggler's initial range is rebalanced
-// onto other workers, and nested parallel_for calls run inline.
+// counts (parallel_test.cc covers the env-driven parallel_for surface):
+// every index runs exactly once, exceptions propagate and stop scheduling, a
+// straggler's initial range is rebalanced onto other workers, and nested
+// parallel_for calls run inline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,34 +15,6 @@
 
 namespace jpm::util {
 namespace {
-
-// Sets (or clears, value == nullptr) one environment variable for the test's
-// scope and restores the previous state on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 // ---- WorkerRange: the packed atomic chunk queue ----------------------------
 
@@ -88,12 +58,12 @@ TEST(WorkerRangeTest, RefusesToStealTheOwnersLastIndex) {
   EXPECT_FALSE(r.steal_back(&sb, &se));
 }
 
-// ---- exactly-once coverage under both schedules ----------------------------
+// ---- exactly-once coverage --------------------------------------------------
 
-void expect_exactly_once(std::size_t n, unsigned workers, SchedMode mode) {
+void expect_exactly_once(std::size_t n, unsigned workers) {
   std::vector<std::atomic<int>> counts(n);
   for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-  TaskPool::run(n, workers, mode, [&](std::size_t i) {
+  parallel_for(n, workers, [&](std::size_t i) {
     counts[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < n; ++i) {
@@ -102,43 +72,35 @@ void expect_exactly_once(std::size_t n, unsigned workers, SchedMode mode) {
 }
 
 TEST(TaskPoolTest, StealCoversEveryIndexExactlyOnce) {
-  expect_exactly_once(1000, 8, SchedMode::kSteal);
-  expect_exactly_once(257, 7, SchedMode::kSteal);  // uneven initial split
-  expect_exactly_once(2, 2, SchedMode::kSteal);
-}
-
-TEST(TaskPoolTest, StaticCoversEveryIndexExactlyOnce) {
-  expect_exactly_once(1000, 8, SchedMode::kStatic);
-  expect_exactly_once(257, 7, SchedMode::kStatic);
+  expect_exactly_once(1000, 8);
+  expect_exactly_once(257, 7);  // uneven initial split
+  expect_exactly_once(2, 2);
 }
 
 TEST(TaskPoolTest, MoreWorkersThanTasksStillCoversAll) {
   // Chunk exhaustion: spread clamps to n, several workers start with empty
   // or single-index slices and must neither double-execute nor hang.
-  expect_exactly_once(3, 16, SchedMode::kSteal);
-  expect_exactly_once(3, 16, SchedMode::kStatic);
-  expect_exactly_once(5, 4, SchedMode::kSteal);
+  expect_exactly_once(3, 16);
+  expect_exactly_once(5, 4);
 }
 
 TEST(TaskPoolTest, RepeatedSmallRegionsStress) {
   // Many short-lived regions back to back: spawn/join and the steal CAS
   // paths race-hunted under TSan.
   for (int iter = 0; iter < 200; ++iter) {
-    expect_exactly_once(33, 5, SchedMode::kSteal);
+    expect_exactly_once(33, 5);
   }
 }
 
 TEST(TaskPoolTest, ZeroTasksNeverInvokeTheBody) {
   bool called = false;
-  TaskPool::run(0, 8, SchedMode::kSteal, [&](std::size_t) { called = true; });
-  TaskPool::run(0, 8, SchedMode::kStatic, [&](std::size_t) { called = true; });
+  parallel_for(0, 8, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(TaskPoolTest, SingleTaskRunsInlineOnTheCaller) {
   std::thread::id id;
-  TaskPool::run(1, 8, SchedMode::kSteal,
-                [&](std::size_t) { id = std::this_thread::get_id(); });
+  parallel_for(1, 8, [&](std::size_t) { id = std::this_thread::get_id(); });
   EXPECT_EQ(id, std::this_thread::get_id());
 }
 
@@ -146,21 +108,13 @@ TEST(TaskPoolTest, SingleTaskRunsInlineOnTheCaller) {
 
 TEST(TaskPoolTest, StealPropagatesTheWorkerException) {
   try {
-    TaskPool::run(100, 4, SchedMode::kSteal, [](std::size_t i) {
+    parallel_for(100, 4, [](std::size_t i) {
       if (i == 7) throw std::runtime_error("boom at 7");
     });
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom at 7");
   }
-}
-
-TEST(TaskPoolTest, StaticPropagatesTheWorkerException) {
-  EXPECT_THROW(TaskPool::run(100, 4, SchedMode::kStatic,
-                             [](std::size_t i) {
-                               if (i == 41) throw std::runtime_error("x");
-                             }),
-               std::runtime_error);
 }
 
 TEST(TaskPoolTest, StealStopsSchedulingAfterAFailure) {
@@ -170,17 +124,16 @@ TEST(TaskPoolTest, StealStopsSchedulingAfterAFailure) {
   // even though tasks were skipped (the failing task counts as done).
   std::atomic<std::size_t> executed{0};
   const std::size_t n = 20000;
-  EXPECT_THROW(TaskPool::run(n, 4, SchedMode::kSteal,
-                             [&](std::size_t i) {
-                               if (i == 0) throw std::runtime_error("early");
-                               std::atomic<int> spin{0};
-                               while (spin.fetch_add(1,
-                                                     std::memory_order_relaxed) <
-                                      50) {
-                               }
-                               executed.fetch_add(1,
-                                                  std::memory_order_relaxed);
-                             }),
+  EXPECT_THROW(parallel_for(n, 4,
+                            [&](std::size_t i) {
+                              if (i == 0) throw std::runtime_error("early");
+                              std::atomic<int> spin{0};
+                              while (spin.fetch_add(
+                                         1, std::memory_order_relaxed) < 50) {
+                              }
+                              executed.fetch_add(1,
+                                                 std::memory_order_relaxed);
+                            }),
                std::runtime_error);
   EXPECT_LT(executed.load(), n);
 }
@@ -193,7 +146,7 @@ TEST(TaskPoolTest, StragglersInitialRangeIsStolenByIdleWorkers) {
   const std::size_t n = 64;
   const unsigned workers = 4;
   std::vector<std::thread::id> ran_on(n);
-  TaskPool::run(n, workers, SchedMode::kSteal, [&](std::size_t i) {
+  parallel_for(n, workers, [&](std::size_t i) {
     if (i == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
@@ -216,7 +169,7 @@ TEST(TaskPoolTest, NestedParallelForRunsInlineOnTheWorker) {
   std::vector<std::thread::id> outer_id(outer_n);
   std::vector<std::vector<std::thread::id>> inner_id(outer_n);
   ASSERT_FALSE(detail::tl_in_parallel_region);
-  TaskPool::run(outer_n, 3, SchedMode::kSteal, [&](std::size_t o) {
+  parallel_for(outer_n, 3, [&](std::size_t o) {
     outer_id[o] = std::this_thread::get_id();
     parallel_for(inner_n, 8, [&, o](std::size_t i) {
       order[o].push_back(i);
@@ -231,38 +184,6 @@ TEST(TaskPoolTest, NestedParallelForRunsInlineOnTheWorker) {
       EXPECT_EQ(inner_id[o][i], outer_id[o]);  // on the outer task's thread
     }
   }
-}
-
-// ---- environment knobs ------------------------------------------------------
-
-TEST(SchedModeTest, DefaultsToStealAndParsesJpmSched) {
-  {
-    ScopedEnv e("JPM_SCHED", nullptr);
-    EXPECT_EQ(default_sched_mode(), SchedMode::kSteal);
-  }
-  {
-    ScopedEnv e("JPM_SCHED", "static");
-    EXPECT_EQ(default_sched_mode(), SchedMode::kStatic);
-  }
-  {
-    ScopedEnv e("JPM_SCHED", "steal");
-    EXPECT_EQ(default_sched_mode(), SchedMode::kSteal);
-  }
-  {
-    // Unknown names fall back to the default rather than failing a run.
-    ScopedEnv e("JPM_SCHED", "turbo");
-    EXPECT_EQ(default_sched_mode(), SchedMode::kSteal);
-  }
-}
-
-TEST(SchedModeTest, ParallelForHonorsJpmSchedStatic) {
-  ScopedEnv e("JPM_SCHED", "static");
-  std::vector<std::atomic<int>> counts(100);
-  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-  parallel_for(100, 4, [&](std::size_t i) {
-    counts[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(counts[i].load(), 1);
 }
 
 }  // namespace

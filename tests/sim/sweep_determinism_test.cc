@@ -295,25 +295,21 @@ TEST(SweepDeterminismTest, SharedModelSweepMatchesUnsharedRuns) {
   }
 
   for (const char* threads : {"1", "4", "8"}) {
-    for (const char* sched : {"static", "steal"}) {
-      SCOPED_TRACE(std::string("JPM_THREADS=") + threads +
-                   " JPM_SCHED=" + sched);
-      const ScopedEnv t("JPM_THREADS", threads);
-      const ScopedEnv s("JPM_SCHED", sched);
-      std::vector<std::string> lines;
-      const auto points =
-          run_sweep(workloads, roster, engine, [&](const std::string& line) {
-            lines.push_back(line);
-          });
-      ASSERT_EQ(points.size(), workloads.size());
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        for (std::size_t j = 0; j < roster.size(); ++j) {
-          SCOPED_TRACE(points[i].label + "/" + roster[j].name);
-          expect_bit_identical(points[i].outcomes[j].metrics, unshared[i][j]);
-        }
+    SCOPED_TRACE(std::string("JPM_THREADS=") + threads);
+    const ScopedEnv t("JPM_THREADS", threads);
+    std::vector<std::string> lines;
+    const auto points =
+        run_sweep(workloads, roster, engine, [&](const std::string& line) {
+          lines.push_back(line);
+        });
+    ASSERT_EQ(points.size(), workloads.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      for (std::size_t j = 0; j < roster.size(); ++j) {
+        SCOPED_TRACE(points[i].label + "/" + roster[j].name);
+        expect_bit_identical(points[i].outcomes[j].metrics, unshared[i][j]);
       }
-      EXPECT_EQ(lines, want_lines);
     }
+    EXPECT_EQ(lines, want_lines);
   }
 }
 
@@ -325,20 +321,16 @@ TEST(SweepDeterminismTest, InvalidSharedModelPointFailsWithTheConfigError) {
   auto workloads = rate_sweep();
   workloads[2].workload.byte_rate = 0.0;
   for (const char* threads : {"1", "4", "8"}) {
-    for (const char* sched : {"static", "steal"}) {
-      SCOPED_TRACE(std::string("JPM_THREADS=") + threads +
-                   " JPM_SCHED=" + sched);
-      const ScopedEnv t("JPM_THREADS", threads);
-      const ScopedEnv s("JPM_SCHED", sched);
-      try {
-        run_sweep(workloads, {always_on_policy(), joint_policy()},
-                  sweep_engine());
-        ADD_FAILURE() << "the sweep accepted an invalid point";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_EQ(std::string(e.what()),
-                  "invalid SynthesizerConfig: byte_rate must be positive and "
-                  "finite");
-      }
+    SCOPED_TRACE(std::string("JPM_THREADS=") + threads);
+    const ScopedEnv t("JPM_THREADS", threads);
+    try {
+      run_sweep(workloads, {always_on_policy(), joint_policy()},
+                sweep_engine());
+      ADD_FAILURE() << "the sweep accepted an invalid point";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "invalid SynthesizerConfig: byte_rate must be positive and "
+                "finite");
     }
   }
 }

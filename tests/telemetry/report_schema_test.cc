@@ -173,7 +173,7 @@ TEST(ReportSchemaTest, PopulatedInProcessReportValidates) {
   e.warm_up_s = 300.0;
 
   start({});
-  sim::run_sweep({sim::SweepWorkload{"128MB", w}},
+  sim::run_sweep({sim::SweepWorkload{"128MB", w, {}, {}}},
                  {sim::joint_policy(), sim::always_on_policy()}, e);
   const std::string report = report_json();
   stop();
@@ -200,7 +200,7 @@ TEST(ReportSchemaTest, ScenarioProvenanceAppearsInReport) {
                      w.duration_s = 300.0;
                      w.page_bytes = 64 * kKiB;
                      return w;
-                   }()}},
+                   }(), {}, {}}},
                  {sim::always_on_policy()}, [] {
                    sim::EngineConfig e;
                    e.joint.physical_bytes = gib(1);

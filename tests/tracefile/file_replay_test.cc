@@ -155,7 +155,7 @@ std::vector<SweepPoint> file_backed_sweep(const char* threads,
                                           const std::string& path) {
   workload::SynthesizerConfig w = replay_workload();
   const EnvVar guard("JPM_THREADS", threads);
-  return run_sweep({SweepWorkload{"128MB", w, path}},
+  return run_sweep({SweepWorkload{"128MB", w, path, {}}},
                    {joint_policy(), always_on_policy(),
                     fixed_policy(DiskPolicyKind::kTwoCompetitive, mib(64))},
                    replay_engine());
@@ -186,7 +186,8 @@ TEST(FileReplayTest, SweepRejectsPageSizeMismatch) {
   const std::string path = temp_path("mismatch.jpmc");
   tracefile::synthesize_to_file(path, w);
   w.page_bytes = 256 * kKiB;  // scenario geometry disagrees with the file
-  const std::vector<SweepWorkload> points = {SweepWorkload{"128MB", w, path}};
+  const std::vector<SweepWorkload> points = {
+      SweepWorkload{"128MB", w, path, {}}};
   const std::vector<PolicySpec> roster = {joint_policy(), always_on_policy()};
   EXPECT_THROW(run_sweep(points, roster, replay_engine()), CheckError);
   std::remove(path.c_str());
