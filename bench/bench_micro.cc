@@ -2,7 +2,8 @@
 // operations, the stack-distance tracker, the idle-interval sweep,
 // Pareto fitting, trace synthesis throughput, the workload-model build (file
 // set + popularity solve) at scenario shape, single-policy engine replay —
-// the perf baseline for the sweep hot loop — engine construction with its
+// the perf baseline for the sweep hot loop — the bank policies' replay at
+// the fig7 16 GB point against a fixed-memory run, engine construction with its
 // warm start at scenario shape, the work-stealing fan-out under
 // uniform and straggler task mixes, JPMC trace-file
 // encode/decode and file-backed replay (jpm::tracefile), and scenario-file
@@ -216,6 +217,52 @@ void BM_EngineReplay(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_EngineReplay)->Arg(0)->Arg(1);
+
+// The bank policies at the shape where they cost the most: the fig7 16 GB
+// point (16 GB data set at 100 MB/s, 256 kB pages, 1,500 s, 128 GB of
+// physical memory in 16 MB banks, prefill on, 600 s warm-up), where a DS
+// run disables most of its 8,192 banks at 732 s. The arg picks the policy
+// (0 = 2TFM-16GB, 1 = Always-on, 2 = 2TPD-128GB, 3 = 2TDS-128GB), so one
+// run gives each bank policy's cost per event against a fixed-memory run.
+// Items = trace events. The ~1M-event trace is synthesized once per process.
+void BM_BankPolicyReplay(benchmark::State& state) {
+  static const workload::Trace trace = [] {
+    workload::SynthesizerConfig cfg;
+    cfg.dataset_bytes = gib(16);
+    cfg.byte_rate = 100e6;
+    cfg.popularity = 0.1;
+    cfg.duration_s = 1500.0;
+    cfg.page_bytes = 256 * kKiB;
+    cfg.file_scale = 16.0;
+    cfg.rate_modulation = 0.12;
+    cfg.modulation_period_s = 3600.0;
+    cfg.seed = 1;
+    return workload::synthesize_trace(cfg);
+  }();
+
+  sim::EngineConfig e;
+  e.joint.physical_bytes = gib(128);
+  e.joint.unit_bytes = 16 * kMiB;
+  e.joint.mem.bank_bytes = 16 * kMiB;
+  e.joint.page_bytes = 256 * kKiB;
+  e.joint.period_s = 600.0;
+  e.prefill_cache = true;
+  e.warm_up_s = 600.0;
+  constexpr auto kTwoC = sim::DiskPolicyKind::kTwoCompetitive;
+  const sim::PolicySpec policies[] = {
+      sim::fixed_policy(kTwoC, gib(16)), sim::always_on_policy(),
+      sim::powerdown_policy(kTwoC, gib(128)),
+      sim::disable_policy(kTwoC, gib(128))};
+  const sim::PolicySpec& policy = policies[state.range(0)];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::run_simulation(trace, policy, e));
+  }
+  state.SetItemsProcessed(
+      state.iterations() * static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_BankPolicyReplay)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
 
 // Engine construction at popularity_16k's shape (Fig. 8: 16 kB pages,
 // 128 GB of physical memory in 16 MB banks, a 1,046,114-page data set,

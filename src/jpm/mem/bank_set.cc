@@ -1,94 +1,69 @@
 #include "jpm/mem/bank_set.h"
 
-#include <algorithm>
-#include <limits>
-
-#include "jpm/util/check.h"
-
 namespace jpm::mem {
 
 BankSet::BankSet(std::uint32_t bank_count, const RdramParams& params,
                  BankPolicy policy, double start_time_s)
-    : params_(params),
-      policy_(policy),
+    : policy_(policy),
       bank_nap_w_(params.nap_power_w(params.bank_bytes)),
-      bank_pd_w_(params.powerdown_power_w(params.bank_bytes)),
-      last_access_(bank_count, start_time_s),
-      integrated_to_(bank_count, start_time_s),
-      generation_(bank_count, 0),
-      disabled_(bank_count, false) {
+      banks_(bank_count, Bank{start_time_s, start_time_s}) {
   JPM_CHECK(bank_count > 0);
-  if (policy_ == BankPolicy::kDisable) {
-    for (std::uint32_t b = 0; b < bank_count; ++b) {
-      timers_.push(Timer{start_time_s + params_.disable_timeout_s, b, 0});
-    }
-  }
-}
-
-void BankSet::integrate(std::uint32_t bank, double t) {
-  const double from = integrated_to_[bank];
-  if (t <= from) return;
-
-  double timeout;
-  double low_w;
   switch (policy_) {
     case BankPolicy::kNapOnly:
-      timeout = std::numeric_limits<double>::infinity();
-      low_w = bank_nap_w_;
+      timeout_s_ = std::numeric_limits<double>::infinity();
+      low_w_ = bank_nap_w_;
       break;
     case BankPolicy::kPowerDown:
-      timeout = params_.powerdown_timeout_s;
-      low_w = bank_pd_w_;
+      timeout_s_ = params.powerdown_timeout_s;
+      low_w_ = params.powerdown_power_w(params.bank_bytes);
       break;
     case BankPolicy::kDisable:
-      timeout = params_.disable_timeout_s;
-      low_w = 0.0;  // disabled banks consume nothing
+      timeout_s_ = params.disable_timeout_s;
+      low_w_ = 0.0;  // disabled banks consume nothing
       break;
     default:
       JPM_CHECK_MSG(false, "unknown bank policy");
-      return;
   }
+  if (policy_ != BankPolicy::kDisable) return;
 
-  const double cutoff = last_access_[bank] + timeout;
-  const double nap_dt = std::clamp(cutoff - from, 0.0, t - from);
-  const double low_dt = (t - from) - nap_dt;
-  static_energy_j_ += bank_nap_w_ * nap_dt + low_w * low_dt;
-  integrated_to_[bank] = t;
+  // Every bank shares the first deadline. List them in right-first preorder
+  // of the implicit binary tree over bank ids, the order in which a binary
+  // heap filled by ascending pushes pops equal keys (see the header).
+  std::vector<std::uint32_t> pending{0};
+  while (!pending.empty()) {
+    const std::uint32_t bank = pending.back();
+    pending.pop_back();
+    append(bank);
+    // Children of `bank`; the right one is pushed last, so it is listed
+    // (with its whole subtree) before the left one.
+    const std::uint64_t left = 2 * std::uint64_t{bank} + 1;
+    for (std::uint64_t child = left; child <= left + 1; ++child) {
+      if (child < bank_count) {
+        pending.push_back(static_cast<std::uint32_t>(child));
+      }
+    }
+  }
+  next_disable_s_ = start_time_s + timeout_s_;
 }
 
-void BankSet::touch(std::uint32_t bank, double t) {
-  JPM_CHECK(bank < bank_count());
-  integrate(bank, t);
-  disabled_[bank] = false;
-  last_access_[bank] = t;
-  const std::uint64_t gen = ++generation_[bank];
-  if (policy_ == BankPolicy::kDisable) {
-    timers_.push(Timer{t + params_.disable_timeout_s, bank, gen});
-  }
-}
-
-std::vector<BankDisable> BankSet::take_due_disables(double t) {
-  std::vector<BankDisable> fired;
-  while (!timers_.empty() && timers_.top().fire_at <= t) {
-    const Timer timer = timers_.top();
-    timers_.pop();
-    if (timer.generation != generation_[timer.bank]) continue;  // re-touched
-    if (disabled_[timer.bank]) continue;
-    integrate(timer.bank, timer.fire_at);
-    disabled_[timer.bank] = true;
+void BankSet::take_due_disables(double t, std::vector<BankDisable>* out) {
+  out->clear();
+  while (next_disable_s_ <= t) {
+    const std::uint32_t bank = head_;
+    const double fire_at = next_disable_s_;
+    unlink(bank);
+    banks_[bank].prev = kOff;
+    integrate(bank, fire_at);
     ++disable_count_;
-    fired.push_back(BankDisable{timer.bank, timer.fire_at});
+    out->push_back(BankDisable{bank, fire_at});
+    next_disable_s_ = head_ == kNil
+                          ? std::numeric_limits<double>::infinity()
+                          : banks_[head_].last_access + timeout_s_;
   }
-  return fired;
 }
 
 void BankSet::finalize(double t) {
   for (std::uint32_t b = 0; b < bank_count(); ++b) integrate(b, t);
-}
-
-bool BankSet::is_disabled(std::uint32_t bank) const {
-  JPM_CHECK(bank < bank_count());
-  return disabled_[bank];
 }
 
 }  // namespace jpm::mem

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -61,10 +62,15 @@ struct Engine::Impl {
   double telem_prev_energy_j = 0.0;
 
   double next_flush = 0.0;  // next background writeback tick (0 = disabled)
+  // The earliest of next_boundary, a pending warm-up snapshot and next_flush:
+  // the one compare the per-event loop makes for all three. 0 until the
+  // first event, which takes the snapshot or finds the real edge.
+  double next_edge = 0.0;
 
   // Reused across period boundaries and bank disables so the hot loop does
   // not allocate a fresh vector per event.
   std::vector<cache::PageId> dirty_scratch;
+  std::vector<mem::BankDisable> disable_scratch;
 
   // Per-period measured quantities (Fig. 9 and period records).
   double next_boundary = 0.0;
@@ -298,15 +304,6 @@ struct Engine::Impl {
     for (cache::PageId p : pages) write_back_page(t, p);
   }
 
-  void process_flushes_until(double t) {
-    if (config.flush_interval_s <= 0.0) return;
-    while (next_flush <= t) {
-      lru->take_dirty_pages(&dirty_scratch);
-      write_back(next_flush, dirty_scratch);
-      next_flush += config.flush_interval_s;
-    }
-  }
-
   // Starts the run from a warm server: the cache AND the extended LRU list
   // are left as streaming every data-set page through them in page order,
   // before t = 0, would leave them — built in closed form. Prefilling the
@@ -430,10 +427,27 @@ struct Engine::Impl {
     close_period(boundary);
   }
 
-  void process_boundaries_until(double t) {
-    while (next_boundary <= t) {
-      handle_boundary(next_boundary);
-      next_boundary += config.joint.period_s;
+  // Handles every timer edge due at or before t in time order: period
+  // boundaries, the warm-up snapshot and flush ticks. At equal times a
+  // boundary runs first, then the snapshot, then the flush. Leaves next_edge
+  // at the first edge after t.
+  void process_edges_until(double t) {
+    constexpr double kNever = std::numeric_limits<double>::infinity();
+    for (;;) {
+      const double snap = snapshot.taken ? kNever : config.warm_up_s;
+      const double flush = config.flush_interval_s > 0.0 ? next_flush : kNever;
+      next_edge = std::min({next_boundary, snap, flush});
+      if (next_edge > t) return;
+      if (next_boundary == next_edge) {
+        handle_boundary(next_boundary);
+        next_boundary += config.joint.period_s;
+      } else if (snap == next_edge) {
+        take_snapshot(snap);
+      } else {
+        lru->take_dirty_pages(&dirty_scratch);
+        write_back(next_flush, dirty_scratch);
+        next_flush += config.flush_interval_s;
+      }
     }
   }
 
@@ -556,18 +570,15 @@ struct Engine::Impl {
     }
   }
 
-  // The timer half of step_event: warm-up snapshot, period boundaries,
-  // flush ticks, and bank expiries through time t. Also the watchdog's
-  // forced period close (advance_to), which runs it without an access.
+  // The timer half of step_event: period boundaries, warm-up snapshot and
+  // flush ticks through time t, then bank disables, which drain at t. Also
+  // the watchdog's forced period close (advance_to), which runs it without
+  // an access. Each half costs one compare when nothing is due.
   void advance_timers(double t) {
-    if (!snapshot.taken && t >= config.warm_up_s) {
-      process_boundaries_until(config.warm_up_s);
-      take_snapshot(config.warm_up_s);
-    }
-    process_boundaries_until(t);
-    process_flushes_until(t);
-    if (banks) {
-      for (const auto& d : banks->take_due_disables(t)) {
+    if (t >= next_edge) process_edges_until(t);
+    if (banks && t >= banks->next_disable_s()) {
+      banks->take_due_disables(t, &disable_scratch);
+      for (const auto& d : disable_scratch) {
         dirty_scratch.clear();
         lru->invalidate_bank(d.bank, &dirty_scratch);
         write_back(t, dirty_scratch);
@@ -605,12 +616,7 @@ struct Engine::Impl {
     finished = true;
     JPM_CHECK_MSG(config.warm_up_s < end,
                   "warm-up must be shorter than the run");
-    if (!snapshot.taken) {
-      process_boundaries_until(config.warm_up_s);
-      take_snapshot(config.warm_up_s);
-    }
-    process_boundaries_until(end);
-    process_flushes_until(end);
+    process_edges_until(end);  // takes the snapshot if no event reached it
     // Shutdown flush: no dirty page outlives the run.
     lru->take_dirty_pages(&dirty_scratch);
     write_back(end, dirty_scratch);

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "heap_bank_set.h"
 #include "jpm/util/check.h"
+#include "jpm/util/rng.h"
 
 namespace jpm::mem {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 RdramParams test_params() {
   RdramParams p;
@@ -48,7 +58,8 @@ TEST(BankSetTest, DisableFiresAfterTimeout) {
   p.disable_timeout_s = 30.0;
   BankSet banks(2, p, BankPolicy::kDisable);
   banks.touch(0, 5.0);
-  auto fired = banks.take_due_disables(40.0);
+  std::vector<BankDisable> fired;
+  banks.take_due_disables(40.0, &fired);
   // Bank 1 (never touched) fires at 30; bank 0 fires at 35.
   ASSERT_EQ(fired.size(), 2u);
   EXPECT_EQ(fired[0].bank, 1u);
@@ -66,8 +77,10 @@ TEST(BankSetTest, TouchCancelsPendingDisable) {
   BankSet banks(1, p, BankPolicy::kDisable);
   banks.touch(0, 20.0);
   banks.touch(0, 45.0);
-  EXPECT_TRUE(banks.take_due_disables(50.0).empty());
-  auto fired = banks.take_due_disables(80.0);
+  std::vector<BankDisable> fired;
+  banks.take_due_disables(50.0, &fired);
+  EXPECT_TRUE(fired.empty());
+  banks.take_due_disables(80.0, &fired);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_NEAR(fired[0].time_s, 75.0, 1e-12);
 }
@@ -76,7 +89,8 @@ TEST(BankSetTest, DisabledBankConsumesNothing) {
   auto p = test_params();
   p.disable_timeout_s = 10.0;
   BankSet banks(1, p, BankPolicy::kDisable);
-  banks.take_due_disables(10.0);
+  std::vector<BankDisable> fired;
+  banks.take_due_disables(10.0, &fired);
   banks.finalize(1000.0);
   const double nap_w = p.nap_power_w(p.bank_bytes);
   EXPECT_NEAR(banks.static_energy_j(), nap_w * 10.0, 1e-9);
@@ -86,7 +100,8 @@ TEST(BankSetTest, ReenabledBankResumesNap) {
   auto p = test_params();
   p.disable_timeout_s = 10.0;
   BankSet banks(1, p, BankPolicy::kDisable);
-  banks.take_due_disables(10.0);
+  std::vector<BankDisable> fired;
+  banks.take_due_disables(10.0, &fired);
   ASSERT_TRUE(banks.is_disabled(0));
   banks.touch(0, 100.0);  // reactivation
   EXPECT_FALSE(banks.is_disabled(0));
@@ -117,8 +132,14 @@ TEST(BankSetTest, LazyIntegrationMatchesEagerFinalize) {
 }
 
 TEST(BankSetTest, NoDisablesFromNonDisablePolicies) {
-  BankSet banks(2, test_params(), BankPolicy::kPowerDown);
-  EXPECT_TRUE(banks.take_due_disables(1e9).empty());
+  for (const auto policy : {BankPolicy::kNapOnly, BankPolicy::kPowerDown}) {
+    BankSet banks(2, test_params(), policy);
+    banks.touch(1, 3.0);
+    EXPECT_EQ(banks.next_disable_s(), kInf);
+    std::vector<BankDisable> fired{{0, 1.0}};
+    banks.take_due_disables(1e9, &fired);
+    EXPECT_TRUE(fired.empty());
+  }
 }
 
 TEST(BankSetTest, RejectsOutOfRangeBank) {
@@ -129,6 +150,132 @@ TEST(BankSetTest, RejectsOutOfRangeBank) {
 
 TEST(BankSetTest, RejectsZeroBanks) {
   EXPECT_THROW(BankSet(0, test_params(), BankPolicy::kNapOnly), CheckError);
+}
+
+TEST(BankSetTest, NextDisableIsTheLeastRecentlyTouchedDeadline) {
+  auto p = test_params();
+  p.disable_timeout_s = 30.0;
+  BankSet banks(3, p, BankPolicy::kDisable, 2.0);
+  EXPECT_EQ(banks.next_disable_s(), 32.0);
+  banks.touch(0, 5.0);
+  banks.touch(1, 6.0);
+  banks.touch(2, 7.0);
+  EXPECT_EQ(banks.next_disable_s(), 35.0);
+  banks.touch(0, 8.0);  // bank 1 is now the least recently touched
+  EXPECT_EQ(banks.next_disable_s(), 36.0);
+  std::vector<BankDisable> fired;
+  banks.take_due_disables(37.0, &fired);
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[0].bank, 1u);
+  EXPECT_EQ(fired[1].bank, 2u);
+  EXPECT_EQ(banks.next_disable_s(), 38.0);
+  banks.take_due_disables(38.0, &fired);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(banks.next_disable_s(), kInf);  // every bank disabled
+  banks.touch(2, 50.0);
+  EXPECT_FALSE(banks.is_disabled(2));
+  EXPECT_EQ(banks.next_disable_s(), 80.0);
+}
+
+// Equal deadlines fire in the order the replaced timer heap popped them:
+// never-touched banks in right-first preorder of the binary tree over bank
+// ids, and banks touched at one instant in touch order.
+TEST(BankSetTest, NeverTouchedBanksFireInRightFirstPreorder) {
+  auto p = test_params();
+  p.disable_timeout_s = 10.0;
+  BankSet banks(16, p, BankPolicy::kDisable);
+  std::vector<BankDisable> fired;
+  banks.take_due_disables(10.0, &fired);
+  std::vector<std::uint32_t> order;
+  for (const auto& d : fired) {
+    EXPECT_EQ(d.time_s, 10.0);
+    order.push_back(d.bank);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 2, 6, 14, 13, 5, 12, 11, 1,
+                                                4, 10, 9, 3, 8, 7, 15}));
+}
+
+TEST(BankSetTest, BanksTouchedAtOneInstantFireInTouchOrder) {
+  auto p = test_params();
+  p.disable_timeout_s = 10.0;
+  BankSet banks(4, p, BankPolicy::kDisable);
+  for (const std::uint32_t b : {3u, 1u, 2u, 0u}) banks.touch(b, 5.0);
+  std::vector<BankDisable> fired;
+  banks.take_due_disables(15.0, &fired);
+  std::vector<std::uint32_t> order;
+  for (const auto& d : fired) order.push_back(d.bank);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{3, 1, 2, 0}));
+}
+
+// The recency list against the timer heap it replaced, over random touch,
+// sweep and mid-run finalize sequences: the same fired (bank, time)
+// sequence, the same disabled set, and bit-identical static energy after
+// every call. Touch times strictly increase, and at least bank_count touches
+// land before the first deadline; outside those conditions equal deadlines
+// may fire in a different order (see bank_set.h).
+TEST(BankSetTest, MatchesTimerHeapOracle) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  auto p = test_params();
+  p.powerdown_timeout_s = 0.5;
+  p.disable_timeout_s = 40.0;
+  std::uint64_t seed = 1;
+  for (const auto policy : {BankPolicy::kNapOnly, BankPolicy::kPowerDown,
+                            BankPolicy::kDisable}) {
+    for (const std::uint32_t n : {1u, 2u, 3u, 16u, 100u, 8192u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "policy " << static_cast<int>(policy) << ", " << n
+                   << " banks, seed " << seed);
+      Rng rng(seed++);
+      BankSet list(n, p, policy, 1.0);
+      HeapBankSet heap(n, p, policy, 1.0);
+      std::vector<BankDisable> got;
+      std::vector<BankDisable> want;
+      // A hot set keeps some banks live while the rest go idle for long
+      // enough to disable and come back.
+      const std::uint64_t hot = std::max<std::uint64_t>(1, n / 8);
+      double t = 1.0;
+      const std::uint64_t steps = 3 * std::uint64_t{n} + 3000;
+      for (std::uint64_t i = 0; i < steps; ++i) {
+        if (i < n) {
+          t += rng.uniform(0.01, 1.0) * (p.disable_timeout_s / 2) / n;
+        } else {
+          const double u = rng.uniform();
+          t += 1e-3 + (u < 0.02 ? rng.uniform(0.0, 2.5 * p.disable_timeout_s)
+                                : rng.exponential(0.3));
+        }
+        if (rng.chance(0.3)) {
+          list.take_due_disables(t, &got);
+          heap.take_due_disables(t, &want);
+          ASSERT_EQ(got.size(), want.size()) << "sweep at t=" << t;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k].bank, want[k].bank) << "fire " << k;
+            ASSERT_EQ(bits(got[k].time_s), bits(want[k].time_s));
+          }
+        }
+        if (rng.chance(0.01)) {
+          list.finalize(t);
+          heap.finalize(t);
+        }
+        const auto bank = static_cast<std::uint32_t>(
+            rng.chance(0.7) ? rng.uniform_index(hot)
+                                : rng.uniform_index(n));
+        list.touch(bank, t);
+        heap.touch(bank, t);
+        ASSERT_EQ(bits(list.static_energy_j()), bits(heap.static_energy_j()))
+            << "touch " << i;
+      }
+      list.finalize(t + 1.0);
+      heap.finalize(t + 1.0);
+      EXPECT_EQ(bits(list.static_energy_j()), bits(heap.static_energy_j()));
+      EXPECT_EQ(list.disable_count(), heap.disable_count());
+      for (std::uint32_t b = 0; b < n; ++b) {
+        ASSERT_EQ(list.is_disabled(b), heap.is_disabled(b)) << "bank " << b;
+      }
+      if (policy == BankPolicy::kDisable) {
+        EXPECT_GT(list.disable_count(), 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -403,6 +403,59 @@ TEST(EngineTest, ReplayRejectsBadTraces) {
   }
 }
 
+// Timer edges run in time order. A read miss at 20 s and a write at 21 s
+// leave one dirty page for the 30 s flush tick; the next event comes much
+// later, past period boundaries (and the warm-up snapshot). A cache hit at
+// 35 s makes the engine handle that flush tick early and touches no disk, so
+// the disk must see the same operations, and the run report the same disk
+// figures, with or without it.
+struct TimerEdgeRun {
+  std::uint64_t shutdowns;
+  std::uint64_t writes;
+  disk::DiskEnergyBreakdown disk;
+};
+
+TimerEdgeRun run_timer_edge_trace(double warm_up_s, double last_read_s,
+                                  bool hit_at_35s) {
+  std::vector<workload::TraceEvent> events{{20.0, 1, true, false},
+                                          {21.0, 2, true, true}};
+  if (hit_at_35s) events.push_back({35.0, 1, true, false});
+  events.push_back({last_read_s, 3, true, false});
+  const auto trace = workload::trace_from_events(events, 64 * kKiB, 16, 0.0);
+  EngineConfig e;
+  e.joint.physical_bytes = gib(1);
+  e.joint.unit_bytes = 16 * kMiB;
+  e.joint.page_bytes = 64 * kKiB;
+  e.joint.period_s = 600.0;
+  e.flush_interval_s = 30.0;
+  e.warm_up_s = warm_up_s;
+  const auto m = run_simulation(trace, fm(mib(512)), e);
+  return {m.disk_shutdowns, m.disk_writes, m.disk_energy};
+}
+
+void expect_same_disk(const TimerEdgeRun& a, const TimerEdgeRun& b) {
+  EXPECT_EQ(a.shutdowns, b.shutdowns);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.disk.standby_base_j, b.disk.standby_base_j);
+  EXPECT_EQ(a.disk.static_j, b.disk.static_j);
+  EXPECT_EQ(a.disk.transition_j, b.disk.transition_j);
+  EXPECT_EQ(a.disk.dynamic_j, b.disk.dynamic_j);
+}
+
+TEST(EngineTest, FlushTickRunsBeforeALaterPeriodBoundary) {
+  const auto without_hit = run_timer_edge_trace(0.0, 1250.0, false);
+  const auto with_hit = run_timer_edge_trace(0.0, 1250.0, true);
+  expect_same_disk(without_hit, with_hit);
+  EXPECT_EQ(without_hit.writes, 1u);
+}
+
+TEST(EngineTest, FlushTickBeforeWarmUpStaysOutOfTheMeasuredWindow) {
+  const auto without_hit = run_timer_edge_trace(600.0, 650.0, false);
+  const auto with_hit = run_timer_edge_trace(600.0, 650.0, true);
+  expect_same_disk(without_hit, with_hit);
+  EXPECT_EQ(without_hit.writes, 0u);
+}
+
 TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {
   std::vector<std::pair<std::string, workload::SynthesizerConfig>> workloads{
       {"256MB", small_workload()}};
