@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
   Table t({"rate", "method", "total energy %", "disk energy (kJ)",
            "mean latency ms", "long-latency req/s", "shifts/spin-downs"});
   for (const auto& point : sc.workloads) {
-    std::vector<std::pair<std::string, workload::SynthesizerConfig>> wl{
-        {point.label, point.workload}};
-    const auto points = sim::run_sweep(wl, sc.roster, sc.engine,
+    const auto points = sim::run_sweep({point}, sc.roster, sc.engine,
                                        bench::progress_line);
     for (const auto& o : points[0].outcomes) {
       t.row()

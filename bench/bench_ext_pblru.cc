@@ -34,8 +34,8 @@ struct MergedEvent {
 std::vector<MergedEvent> build_trace(const spec::Scenario& sc) {
   // Hot class: skewed 8 GB set. Archive: near-uniform 3 GB set whose reuse
   // distance is the whole set — cacheable outright, or not at all.
-  const auto hot = workload::synthesize(sc.workloads[0].workload);
-  const auto archive = workload::synthesize(sc.workloads[1].workload);
+  const auto hot = workload::synthesize_trace(sc.workloads[0].workload);
+  const auto archive = workload::synthesize_trace(sc.workloads[1].workload);
   const std::uint64_t offset =
       sc.workloads[0].workload.dataset_bytes / (256 * kKiB) + 64;
 
@@ -45,15 +45,15 @@ std::vector<MergedEvent> build_trace(const spec::Scenario& sc) {
   while (i < hot.size() || j < archive.size()) {
     const bool take_hot =
         j >= archive.size() ||
-        (i < hot.size() && hot[i].time_s <= archive[j].time_s);
+        (i < hot.size() && hot.times[i] <= archive.times[j]);
     if (take_hot) {
-      merged.push_back({hot[i].time_s, hot[i].page,
-                        static_cast<std::uint32_t>(hot[i].page / 256 % 2), 0});
+      merged.push_back({hot.times[i], hot.pages[i],
+                        static_cast<std::uint32_t>(hot.pages[i] / 256 % 2), 0});
       ++i;
     } else {
-      merged.push_back({archive[j].time_s, archive[j].page + offset,
-                        static_cast<std::uint32_t>(2 + archive[j].page / 256 % 2),
-                        1});
+      merged.push_back(
+          {archive.times[j], archive.pages[j] + offset,
+           static_cast<std::uint32_t>(2 + archive.pages[j] / 256 % 2), 1});
       ++j;
     }
   }

@@ -113,13 +113,15 @@ void BM_StackDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_StackDistance)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
+// The series is built once, outside the timed loop: the engine's collector
+// fills IdleSeries lanes directly, so a period boundary pays the sweep alone.
 void BM_IdleSweep(benchmark::State& state) {
   Rng rng(3);
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   double t = 0.0;
   for (int i = 0; i < 100000; ++i) {
     t += rng.exponential(0.006);
-    events.push_back({t, 1 + rng.uniform_index(8192 * 64)});
+    events.push_back(t, 1 + rng.uniform_index(8192 * 64));
   }
   std::vector<std::uint64_t> candidates;
   for (std::uint64_t u = 1; u <= 8192; u += 32) candidates.push_back(u);
@@ -412,7 +414,7 @@ void BM_TraceFileDecode(benchmark::State& state) {
   const workload::Trace& trace = tracefile_fixture();
   const std::string image = tracefile_image(trace);
   const tracefile::TraceReader reader(image.data(), image.size(), "bench");
-  tracefile::ChunkBuffer buf;
+  workload::Trace buf;
   for (auto _ : state) {
     for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
       reader.decode_chunk(i, buf);

@@ -38,10 +38,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dataset_gib), rate_mb,
               popularity);
 
-  std::vector<std::pair<std::string, workload::SynthesizerConfig>> workloads{
-      {"workload", workload}};
   const auto points =
-      sim::run_sweep(workloads, sc.roster, sc.engine,
+      sim::run_sweep({sim::SweepWorkload{"workload", workload, {}, {}}},
+                     sc.roster, sc.engine,
                      [](const std::string& line) {
                        std::fprintf(stderr, "  %s\n", line.c_str());
                      });

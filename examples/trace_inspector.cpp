@@ -29,29 +29,28 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 1;
   }
-  std::uint64_t page_bytes = 64 * kKiB;
-  std::vector<workload::TraceEvent> trace;
+  workload::Trace trace;
   if (std::strcmp(argv[1], "--demo") == 0) {
     workload::SynthesizerConfig cfg;
     cfg.dataset_bytes = gib(4);
     cfg.byte_rate = 20e6;
     cfg.popularity = 0.1;
     cfg.duration_s = 1200.0;
-    cfg.page_bytes = page_bytes;
+    cfg.page_bytes = 64 * kKiB;
     cfg.seed = 3;
-    trace = workload::synthesize(cfg);
+    trace = workload::synthesize_trace(cfg);
     std::puts("(demo trace: 4 GiB data set, 20 MB/s, popularity 0.1)");
   } else {
-    const workload::Trace loaded = tracefile::load_any_trace(argv[1]);
-    if (loaded.page_bytes != 0) page_bytes = loaded.page_bytes;  // JPMC
-    trace = loaded.to_events();
+    trace = tracefile::load_any_trace(argv[1]);
+    // CSV carries no geometry (JPMC does): assume 64 KiB pages.
+    if (trace.page_bytes == 0) trace.page_bytes = 64 * kKiB;
   }
   const double cache_gib = argc > 2 ? std::atof(argv[2]) : 1.0;
   const auto cache_pages =
       static_cast<std::uint64_t>(cache_gib * static_cast<double>(kGiB) /
-                                 static_cast<double>(page_bytes));
+                                 static_cast<double>(trace.page_bytes));
 
-  const auto c = workload::characterize(trace, page_bytes);
+  const auto c = workload::characterize(trace);
   std::printf("\ntrace: %llu events, %llu requests (%llu writes), "
               "%llu distinct pages, %.0f s\n",
               static_cast<unsigned long long>(c.events),

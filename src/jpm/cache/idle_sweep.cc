@@ -52,9 +52,12 @@ SweepScratch& scratch() {
 }  // namespace
 
 std::vector<IdleEstimate> sweep_idle_intervals(
-    const double* times, const std::uint64_t* depths, std::size_t n,
-    double period_start_s, double period_end_s, std::uint64_t unit_frames,
-    double window_s, const std::vector<std::uint64_t>& candidate_units) {
+    const IdleSeries& events, double period_start_s, double period_end_s,
+    std::uint64_t unit_frames, double window_s,
+    const std::vector<std::uint64_t>& candidate_units) {
+  const double* times = events.times.data();
+  const std::uint64_t* depths = events.depths.data();
+  const std::size_t n = events.size();
   JPM_CHECK(unit_frames > 0);
   JPM_CHECK(window_s >= 0.0);
   JPM_CHECK(period_end_s >= period_start_s);
@@ -200,17 +203,6 @@ std::vector<IdleEstimate> sweep_idle_intervals(
     out.push_back(est);
   }
   return out;
-}
-
-std::vector<IdleEstimate> sweep_idle_intervals(
-    const std::vector<IdleEvent>& events, double period_start_s,
-    double period_end_s, std::uint64_t unit_frames, double window_s,
-    const std::vector<std::uint64_t>& candidate_units) {
-  IdleSeries series;
-  series.reserve(events.size());
-  for (const auto& e : events) series.push_back(e);
-  return sweep_idle_intervals(series, period_start_s, period_end_s,
-                              unit_frames, window_s, candidate_units);
 }
 
 }  // namespace jpm::cache

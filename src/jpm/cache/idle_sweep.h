@@ -19,20 +19,15 @@
 
 namespace jpm::cache {
 
-struct IdleEvent {
-  double time_s = 0.0;
-  // LRU stack depth in frames, or kColdAccess for compulsory misses (which
-  // no memory size can absorb).
-  std::uint64_t depth_frames = kColdAccess;
-};
-
 // One period's accesses in structure-of-arrays layout: the sweep and the
 // collector touch timestamps and depths in independent streaming passes, so
 // splitting the lanes keeps each pass on densely packed cache lines. Both
 // lanes always have equal length.
 struct IdleSeries {
-  std::vector<double> times;            // time-ordered
-  std::vector<std::uint64_t> depths;    // kColdAccess for compulsory misses
+  std::vector<double> times;  // time-ordered
+  // LRU stack depth in frames, or kColdAccess for compulsory misses (which
+  // no memory size can absorb).
+  std::vector<std::uint64_t> depths;
 
   std::size_t size() const { return times.size(); }
   bool empty() const { return times.empty(); }
@@ -47,12 +42,6 @@ struct IdleSeries {
   void push_back(double t, std::uint64_t depth) {
     times.push_back(t);
     depths.push_back(depth);
-  }
-  void push_back(const IdleEvent& e) { push_back(e.time_s, e.depth_frames); }
-  // By-value element view (keeps `series[i].depth_frames` working for
-  // callers written against the AoS layout).
-  IdleEvent operator[](std::size_t i) const {
-    return IdleEvent{times[i], depths[i]};
   }
 };
 
@@ -73,26 +62,11 @@ struct IdleEstimate {
 // the period boundaries act as sentinels, so leading/trailing quiet stretches
 // count as idle intervals. window_s is the paper's aggregation window w.
 //
-// The raw-lane form is the core (one call per period per run; its working
-// vectors are thread-local scratch reused across calls); the IdleSeries and
-// AoS overloads forward to it.
+// One call per period per run; its working vectors are thread-local scratch
+// reused across calls.
 std::vector<IdleEstimate> sweep_idle_intervals(
-    const double* times, const std::uint64_t* depths, std::size_t n,
-    double period_start_s, double period_end_s, std::uint64_t unit_frames,
-    double window_s, const std::vector<std::uint64_t>& candidate_units);
-
-inline std::vector<IdleEstimate> sweep_idle_intervals(
     const IdleSeries& events, double period_start_s, double period_end_s,
     std::uint64_t unit_frames, double window_s,
-    const std::vector<std::uint64_t>& candidate_units) {
-  return sweep_idle_intervals(events.times.data(), events.depths.data(),
-                              events.size(), period_start_s, period_end_s,
-                              unit_frames, window_s, candidate_units);
-}
-
-std::vector<IdleEstimate> sweep_idle_intervals(
-    const std::vector<IdleEvent>& events, double period_start_s,
-    double period_end_s, std::uint64_t unit_frames, double window_s,
     const std::vector<std::uint64_t>& candidate_units);
 
 }  // namespace jpm::cache

@@ -42,6 +42,7 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +63,7 @@
 #include "jpm/util/units.h"
 #include "jpm/workload/synthesizer.h"
 #include "jpm/workload/trace.h"
+#include "jpm/workload/trace_io.h"
 
 namespace {
 
@@ -464,13 +466,7 @@ int cmd_synth(const std::vector<std::string>& args) {
   jpm::workload::TraceGenerator gen(sc.workloads.front().workload);
   std::uint64_t emitted = 0;
   while (auto e = gen.next()) {
-    jpm::stream::StreamEvent event;
-    event.time_s = e->time_s;
-    event.page = e->page;
-    event.flags = static_cast<std::uint8_t>(
-        (e->request_start ? jpm::workload::kTraceFlagStart : 0) |
-        (e->is_write ? jpm::workload::kTraceFlagWrite : 0));
-    jpm::stream::write_event(std::cout, event, format);
+    jpm::stream::write_event(std::cout, *e, format);
     if (!std::cout) {
       // Downstream pipe closed (consumer exited): a clean end of stream.
       break;
@@ -602,6 +598,12 @@ int cmd_trace_pack(const std::vector<std::string>& args) {
   if (total_pages != 0) trace.total_pages = total_pages;
   if (trace.total_pages == 0) {
     for (const auto page : trace.pages) {
+      if (page == std::numeric_limits<std::uint64_t>::max()) {
+        std::cerr << "jpm trace pack: " << in_file << ": page " << page
+                  << " leaves no data-set size to derive (page + 1 "
+                     "overflows); pass --total-pages\n";
+        return 2;
+      }
       trace.total_pages = std::max(trace.total_pages, page + 1);
     }
   }
@@ -700,33 +702,36 @@ int cmd_trace_cat(const std::vector<std::string>& args) {
   std::signal(SIGPIPE, SIG_IGN);  // a consumer exiting early is end of stream
   const jpm::tracefile::TraceReader reader(file);
   const bool csv = format == "csv";
-  if (csv) {
-    std::cout << "time_s,page,request_start,is_write\n";
-    std::cout.precision(9);
-  }
-  jpm::tracefile::ChunkBuffer buf;
-  std::uint64_t emitted = 0;
-  for (std::size_t i = 0; i < reader.chunks().size() && std::cout; ++i) {
+  jpm::workload::Trace buf;  // one decoded chunk
+  if (csv) jpm::workload::write_csv_trace(std::cout, buf);  // the header
+  std::uint64_t left =
+      limit != 0 ? limit : std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t i = 0; i < reader.chunks().size() && left != 0 && std::cout;
+       ++i) {
     reader.decode_chunk(i, buf);
-    for (std::size_t k = 0; k < buf.size() && std::cout; ++k) {
-      const bool start =
-          (buf.flags[k] & jpm::workload::kTraceFlagStart) != 0;
-      const bool write =
-          (buf.flags[k] & jpm::workload::kTraceFlagWrite) != 0;
-      if (csv) {
-        std::cout << std::fixed << buf.times[k] << ',' << buf.pages[k] << ','
-                  << (start ? 1 : 0) << ',' << (write ? 1 : 0) << '\n';
-      } else {
+    if (buf.size() > left) {
+      buf.times.resize(left);
+      buf.pages.resize(left);
+      buf.flags.resize(left);
+    }
+    left -= buf.size();
+    if (csv) {
+      jpm::workload::write_csv_trace(std::cout, buf, /*header=*/false);
+    } else {
+      for (std::size_t k = 0; k < buf.size() && std::cout; ++k) {
         jpm::util::json::Object obj;
         obj["t"] = jpm::util::json::Value{buf.times[k]};
         obj["page"] = jpm::util::json::Value{buf.pages[k]};
-        if (start) obj["start"] = jpm::util::json::Value{true};
-        if (write) obj["write"] = jpm::util::json::Value{true};
+        if ((buf.flags[k] & jpm::workload::kTraceFlagStart) != 0) {
+          obj["start"] = jpm::util::json::Value{true};
+        }
+        if ((buf.flags[k] & jpm::workload::kTraceFlagWrite) != 0) {
+          obj["write"] = jpm::util::json::Value{true};
+        }
         std::cout << jpm::util::json::dump(
                          jpm::util::json::Value{std::move(obj)})
                   << '\n';
       }
-      if (limit != 0 && ++emitted >= limit) return 0;
     }
   }
   return 0;

@@ -76,17 +76,6 @@ double ClusterMetrics::balance_index() const {
   return sum * sum / (static_cast<double>(servers.size()) * sum_sq);
 }
 
-namespace {
-
-workload::Trace to_trace(const std::vector<workload::TraceEvent>& events) {
-  workload::Trace t;
-  t.reserve(events.size());
-  for (const auto& e : events) t.push_back(e);
-  return t;
-}
-
-}  // namespace
-
 std::vector<std::uint32_t> route_requests(const workload::Trace& trace,
                                           const ClusterConfig& cfg) {
   JPM_CHECK(cfg.server_count > 0);
@@ -136,11 +125,6 @@ std::vector<std::uint32_t> route_requests(const workload::Trace& trace,
   return routes;
 }
 
-std::vector<std::uint32_t> route_requests(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg) {
-  return route_requests(to_trace(trace), cfg);
-}
-
 FaultRouting route_requests_with_faults(
     const workload::Trace& trace, const ClusterConfig& cfg,
     const std::vector<OutageWindows>& outages) {
@@ -184,12 +168,6 @@ FaultRouting route_requests_with_faults(
   return out;
 }
 
-FaultRouting route_requests_with_faults(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg,
-    const std::vector<OutageWindows>& outages) {
-  return route_requests_with_faults(to_trace(trace), cfg, outages);
-}
-
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
                            double duration_s, double off_idle_s) {
   JPM_CHECK(off_idle_s > 0.0);
@@ -220,12 +198,6 @@ ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
     if (end_of_on < duration_s) ++usage.power_cycles;
   }
   return usage;
-}
-
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
-                           double duration_s, double off_idle_s) {
-  return chassis_usage(request_times_s.data(), request_times_s.size(),
-                       duration_s, off_idle_s);
 }
 
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
@@ -287,13 +259,6 @@ ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
     if (end_of_on < duration_s) ++usage.power_cycles;
   }
   return usage;
-}
-
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
-                           double duration_s, double off_idle_s,
-                           const OutageWindows& outages) {
-  return chassis_usage(request_times_s.data(), request_times_s.size(),
-                       duration_s, off_idle_s, outages);
 }
 
 ShardLayout build_shard_layout(const workload::Trace& trace,
@@ -502,6 +467,12 @@ std::vector<ClusterSweepPoint> run_cluster_sweep(
   config.validate();
   JPM_CHECK_MSG(!workloads.empty(), "cluster sweep has no workload points");
   JPM_CHECK_MSG(!roster.empty(), "cluster sweep has an empty policy roster");
+  for (const auto& w : workloads) {
+    JPM_CHECK_MSG(w.trace_path.empty(),
+                  "cluster point [" << w.label << "]: cluster sweeps "
+                  "synthesize every point and cannot replay trace file "
+                  << w.trace_path);
+  }
   const std::size_t n_points = workloads.size();
   const std::size_t n_policies = roster.size();
   TELEM_EVENT(kSweep, "cluster_sweep_begin", 0.0,

@@ -179,20 +179,17 @@ struct ClusterSweepPoint {
 // JPM_THREADS. Unlike sim::run_sweep there is no
 // always-on-baseline requirement (cluster metrics are absolute, not
 // normalized). Axis coordinates on the workloads surface as `axis/<name>`
-// gauges on each job's telemetry run.
+// gauges on each job's telemetry run. Every point is synthesized: a point
+// with a trace_path is a CheckError.
 std::vector<ClusterSweepPoint> run_cluster_sweep(
     const ClusterConfig& config,
     const std::vector<sim::SweepWorkload>& workloads,
     const std::vector<sim::PolicySpec>& roster,
     const std::function<void(const std::string&)>& progress = {});
 
-// Routing decision sequence for a request stream. The Trace overload is the
-// primary (reads the SoA lanes directly); the AoS form converts and
-// forwards (exposed for testing and interop).
+// Routing decision sequence for a request stream.
 std::vector<std::uint32_t> route_requests(const workload::Trace& trace,
                                           const ClusterConfig& cfg);
-std::vector<std::uint32_t> route_requests(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg);
 
 // Per-server crash outage windows, sorted and disjoint.
 using OutageWindows = std::vector<std::pair<double, double>>;
@@ -209,28 +206,19 @@ struct FaultRouting {
 FaultRouting route_requests_with_faults(const workload::Trace& trace,
                                         const ClusterConfig& cfg,
                                         const std::vector<OutageWindows>& outages);
-FaultRouting route_requests_with_faults(
-    const std::vector<workload::TraceEvent>& trace, const ClusterConfig& cfg,
-    const std::vector<OutageWindows>& outages);
 
-// Chassis on/off accounting over one server's request arrival times. The
-// pointer form reads an arrival slice straight out of the shard arena; the
-// vector overloads forward to it.
+// Chassis on/off accounting over one server's request arrival times, read
+// as a slice straight out of the shard arena.
 struct ChassisUsage {
   double on_s = 0.0;
   std::uint64_t power_cycles = 0;
 };
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
                            double duration_s, double off_idle_s);
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
-                           double duration_s, double off_idle_s);
 // Outage-aware overload: a crash forces the chassis off for the window
 // (one forced power cycle); the server restarts — and is back on — at the
 // window's end.
 ChassisUsage chassis_usage(const double* request_times_s, std::size_t n,
-                           double duration_s, double off_idle_s,
-                           const OutageWindows& outages);
-ChassisUsage chassis_usage(const std::vector<double>& request_times_s,
                            double duration_s, double off_idle_s,
                            const OutageWindows& outages);
 

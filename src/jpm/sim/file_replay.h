@@ -50,7 +50,7 @@ class FileReplay {
   PolicySpec policy_;
   EngineConfig config_;
   std::optional<Engine> engine_;
-  tracefile::ChunkBuffer buffer_;
+  workload::Trace buffer_;  // one decoded chunk window
   std::size_t peak_buffer_bytes_ = 0;
 };
 

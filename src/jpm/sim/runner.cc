@@ -192,17 +192,4 @@ std::vector<SweepPoint> run_sweep(
   return points;
 }
 
-std::vector<SweepPoint> run_sweep(
-    const std::vector<std::pair<std::string, workload::SynthesizerConfig>>&
-        workloads,
-    const std::vector<PolicySpec>& roster, const EngineConfig& config,
-    const std::function<void(const std::string&)>& progress) {
-  std::vector<SweepWorkload> points;
-  points.reserve(workloads.size());
-  for (const auto& [label, workload] : workloads) {
-    points.push_back(SweepWorkload{label, workload, {}, {}});
-  }
-  return run_sweep(points, roster, config, progress);
-}
-
 }  // namespace jpm::sim

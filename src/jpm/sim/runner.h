@@ -49,13 +49,17 @@ struct SweepPoint {
   RunMetrics baseline;                 // the always-on run
 };
 
-// One sweep point's event source: synthesized from `workload` (the default),
-// or — when `trace_path` is set — replayed from a JPMC trace file (see
-// jpm/tracefile/) that is mmap'd once and shared read-only by all of the
-// point's policy runs, each decoding one chunk window at a time. The file's
-// page size must match the workload section's (the geometry the scenario was
-// validated against); metrics are bit-identical to synthesizing when the
-// file came from synthesize_to_file of the same workload config.
+// One named sweep point, as a scenario file declares it and a sweep runs
+// it. The label is the table column header ("16GB", "100MB/s", "0.05").
+// The event source is synthesized from `workload` (the default), or — when
+// `trace_path` is set (the scenario's "trace": {"path": ...}) — replayed
+// from a JPMC trace file (see jpm/tracefile/) that is mmap'd once and
+// shared read-only by all of the point's policy runs, each decoding one
+// chunk window at a time. The workload section still declares the geometry
+// the scenario validates against: the file's page size must match it.
+// Metrics are bit-identical to synthesizing when the file came from
+// synthesize_to_file of the same workload config. Relative paths resolve
+// against the working directory at run time.
 struct SweepWorkload {
   std::string label;
   workload::SynthesizerConfig workload;
@@ -79,13 +83,6 @@ struct SweepWorkload {
 // baseline first) regardless of completion order.
 std::vector<SweepPoint> run_sweep(
     const std::vector<SweepWorkload>& workloads,
-    const std::vector<PolicySpec>& roster, const EngineConfig& config,
-    const std::function<void(const std::string&)>& progress = {});
-
-// Legacy label/config pair form (bench harnesses); synthesizes every point.
-std::vector<SweepPoint> run_sweep(
-    const std::vector<std::pair<std::string, workload::SynthesizerConfig>>&
-        workloads,
     const std::vector<PolicySpec>& roster, const EngineConfig& config,
     const std::function<void(const std::string&)>& progress = {});
 

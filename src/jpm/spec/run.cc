@@ -170,22 +170,15 @@ std::vector<sim::SweepPoint> run_scenario(const Scenario& sc,
   const std::string header = expand_header(sc);
   if (!header.empty()) std::cout << header << "\n";
 
-  std::vector<sim::SweepWorkload> workloads;
-  workloads.reserve(sc.workloads.size());
-  for (const auto& point : sc.workloads) {
-    workloads.push_back(sim::SweepWorkload{point.label, point.workload,
-                                           point.trace_path, point.axes});
-  }
-
   if (sc.cluster.has_value()) {
     const auto points = cluster::run_cluster_sweep(
-        cluster_config(sc), workloads, sc.roster, options.progress);
+        cluster_config(sc), sc.workloads, sc.roster, options.progress);
     print_cluster_table(points);
     return {};
   }
 
   const auto points =
-      sim::run_sweep(workloads, sc.roster, sc.engine, options.progress);
+      sim::run_sweep(sc.workloads, sc.roster, sc.engine, options.progress);
 
   for (const auto& table : sc.output.tables) {
     print_metric_table(table.title, points, table.metric);

@@ -571,7 +571,7 @@ std::string trace_source_from_json(const Value& v, const std::string& path) {
 
 }  // namespace
 
-Value to_json(const std::vector<WorkloadPoint>& points) {
+Value to_json(const std::vector<sim::SweepWorkload>& points) {
   Array a;
   for (const auto& p : points) {
     Object o;
@@ -637,8 +637,8 @@ constexpr std::size_t kGridPointCap = 100000;
 
 }  // namespace
 
-std::vector<WorkloadPoint> expand_grid(const WorkloadGrid& grid,
-                                       const std::string& path) {
+std::vector<sim::SweepWorkload> expand_grid(const WorkloadGrid& grid,
+                                            const std::string& path) {
   if (grid.axes.empty()) fail(path + ".grid", "grid needs at least one axis");
   std::size_t total = 1;
   for (const auto& [axis, values] : grid.axes) {
@@ -654,11 +654,11 @@ std::vector<WorkloadPoint> expand_grid(const WorkloadGrid& grid,
 
   // Odometer over the axes: the last axis varies fastest, so the first
   // declared axis is the outermost loop of the cartesian product.
-  std::vector<WorkloadPoint> points;
+  std::vector<sim::SweepWorkload> points;
   points.reserve(total);
   std::vector<std::size_t> idx(grid.axes.size(), 0);
   for (std::size_t n = 0; n < total; ++n) {
-    WorkloadPoint point;
+    sim::SweepWorkload point;
     point.workload = grid.base;
     std::string label;
     for (std::size_t a = 0; a < grid.axes.size(); ++a) {
@@ -687,16 +687,16 @@ std::vector<WorkloadPoint> expand_grid(const WorkloadGrid& grid,
   return points;
 }
 
-std::vector<WorkloadPoint> workloads_from_json(const Value& v,
-                                               const std::string& path) {
-  std::vector<WorkloadPoint> points;
+std::vector<sim::SweepWorkload> workloads_from_json(const Value& v,
+                                                    const std::string& path) {
+  std::vector<sim::SweepWorkload> points;
   if (v.is_array()) {
     const auto& a = v.as_array();
     points.reserve(a.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       const std::string p = path + "[" + std::to_string(i) + "]";
       ObjectReader r(a[i], p);
-      WorkloadPoint point;
+      sim::SweepWorkload point;
       point.label = require_label(r);
       if (const Value* w = r.child("workload")) {
         point.workload = workload_from_json(*w, p + ".workload");
@@ -732,7 +732,7 @@ std::vector<WorkloadPoint> workloads_from_json(const Value& v,
   for (std::size_t i = 0; i < a.size(); ++i) {
     const std::string p = path + ".points[" + std::to_string(i) + "]";
     ObjectReader pr(a[i], p);
-    WorkloadPoint point;
+    sim::SweepWorkload point;
     point.label = require_label(pr);
     point.workload = base;
     BindWorkload{}(pr, point.workload);  // overrides any subset of keys
@@ -900,6 +900,15 @@ void validate_scenario(const Scenario& sc) {
       full.engine = sc.engine;
       full.validate();
     });
+    // A cluster sweep routes a synthesized stream across its servers; it
+    // has no file-backed source.
+    for (std::size_t i = 0; i < sc.workloads.size(); ++i) {
+      if (!sc.workloads[i].trace_path.empty()) {
+        fail("$.workloads[" + std::to_string(i) + "].trace",
+             "cluster scenarios synthesize every point and cannot replay "
+             "trace file \"" + sc.workloads[i].trace_path + "\"");
+      }
+    }
   }
   if (sc.stream.has_value()) {
     validate_at("$.stream", [&] { stream::validate(*sc.stream); });

@@ -30,6 +30,7 @@
 
 #include "jpm/cluster/cluster.h"
 #include "jpm/sim/engine.h"
+#include "jpm/sim/runner.h"
 #include "jpm/stream/stream_engine.h"
 #include "jpm/util/json.h"
 
@@ -41,23 +42,6 @@ class SpecError : public std::runtime_error {
  public:
   explicit SpecError(const std::string& message)
       : std::runtime_error(message) {}
-};
-
-// One named sweep point: the label is the table column header ("16GB",
-// "100MB/s", "0.05"). `trace_path`, when set (the "trace": {"path": ...}
-// source), replays a JPMC chunked trace file (see jpm/tracefile/) instead of
-// synthesizing the workload; the workload section still declares the
-// geometry the scenario validates against (its page_bytes must match the
-// file's) and labels the point. Relative paths resolve against the working
-// directory at run time.
-struct WorkloadPoint {
-  std::string label;
-  workload::SynthesizerConfig workload;
-  std::string trace_path;  // empty = synthesize
-  // Grid coordinates (axis name, value) in axis declaration order when the
-  // point came from a sweep grid; empty for hand-listed points. Flows into
-  // telemetry as `axis/<name>` gauges on the point's runs.
-  std::vector<std::pair<std::string, double>> axes;
 };
 
 // Sweep-grid sugar: the cartesian product of named numeric axes over a base
@@ -114,7 +98,7 @@ struct OutputSpec {
 struct Scenario {
   std::string name;         // short identifier ("fig7_dataset")
   std::string description;  // free text for humans
-  std::vector<WorkloadPoint> workloads;
+  std::vector<sim::SweepWorkload> workloads;
   // Set when `workloads` was declared as a sweep grid; `workloads` then
   // holds the expansion (expand_grid(*grid)) and serialization re-emits the
   // grid form, keeping grid scenarios canonical at any point count.
@@ -183,9 +167,9 @@ stream::StreamConfig stream_from_json(const util::json::Value& v,
 // form {"base": {...}, "grid": {...}} (see WorkloadGrid; expanded on
 // parse). Serialization emits the resolved explicit array — except grid
 // scenarios, whose Scenario::grid re-serializes as the grid form.
-util::json::Value to_json(const std::vector<WorkloadPoint>& points);
-std::vector<WorkloadPoint> workloads_from_json(const util::json::Value& v,
-                                               const std::string& path);
+util::json::Value to_json(const std::vector<sim::SweepWorkload>& points);
+std::vector<sim::SweepWorkload> workloads_from_json(
+    const util::json::Value& v, const std::string& path);
 
 // Grid form round-trip and expansion. grid_from_json validates shape only
 // (axes present, arrays of numbers); expand_grid applies each axis value
@@ -195,8 +179,8 @@ std::vector<WorkloadPoint> workloads_from_json(const util::json::Value& v,
 util::json::Value to_json(const WorkloadGrid& grid);
 WorkloadGrid grid_from_json(const util::json::Value& v,
                             const std::string& path);
-std::vector<WorkloadPoint> expand_grid(const WorkloadGrid& grid,
-                                       const std::string& path);
+std::vector<sim::SweepWorkload> expand_grid(const WorkloadGrid& grid,
+                                            const std::string& path);
 
 // ---- scenario --------------------------------------------------------------
 

@@ -30,15 +30,12 @@
 #include <cstdint>
 #include <memory>
 
+#include "jpm/workload/trace.h"
+
 namespace jpm::stream {
 
-// One live cache access entering the daemon. `flags` uses the trace flag
-// bits (workload::kTraceFlagStart / kTraceFlagWrite).
-struct StreamEvent {
-  double time_s = 0.0;
-  std::uint64_t page = 0;
-  std::uint8_t flags = 0;
-};
+// One live cache access entering the daemon: the trace's own event record.
+using StreamEvent = workload::TraceEvent;
 
 class EventRing {
  public:

@@ -172,7 +172,7 @@ const std::uint8_t* TraceReader::chunk_data(std::size_t i) const {
   return data_ + index_[i].offset;
 }
 
-void TraceReader::decode_chunk(std::size_t i, ChunkBuffer& out) const {
+void TraceReader::decode_chunk(std::size_t i, workload::Trace& out) const {
   JPM_CHECK_MSG(i < index_.size(), "chunk index out of range");
   const ChunkDesc& d = index_[i];
   const std::string at = name_ + ": chunk " + std::to_string(i);
@@ -260,7 +260,7 @@ workload::Trace TraceReader::read_all() const {
   trace.total_pages = header_.total_pages;
   trace.duration_s = header_.duration_s;
   trace.reserve(header_.event_count);
-  ChunkBuffer buf;
+  workload::Trace buf;
   for (std::size_t i = 0; i < index_.size(); ++i) {
     decode_chunk(i, buf);
     trace.times.insert(trace.times.end(), buf.times.begin(), buf.times.end());
@@ -272,7 +272,7 @@ workload::Trace TraceReader::read_all() const {
 
 void TraceReader::verify_content_hash() const {
   util::Fnv1a64 hash;
-  ChunkBuffer buf;
+  workload::Trace buf;
   for (std::size_t i = 0; i < index_.size(); ++i) {
     decode_chunk(i, buf);
     char record[17];
@@ -292,19 +292,19 @@ void TraceReader::verify_content_hash() const {
 }
 
 workload::Trace load_any_trace(const std::string& path) {
-  {
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    JPM_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
-    if (workload::sniff_trace_format(is, path) ==
-        workload::TraceFormat::kChunked) {
-      return TraceReader(path).read_all();
-    }
+  std::ifstream is(path, std::ios::in | std::ios::binary);
+  JPM_CHECK_MSG(is.is_open(), "cannot open for reading: " + path);
+  if (workload::sniff_trace_format(is, path) ==
+      workload::TraceFormat::kCsv) {
+    return workload::read_csv_trace(is);
   }
-  // CSV: the hardened workload reader sniffs and validates; CSV carries no
-  // geometry, so the derived fields stay zero.
-  const std::vector<workload::TraceEvent> events =
-      workload::load_trace(path);
-  return workload::trace_from_events(events, 0, 0, 0.0);
+  // JPMC: parse the image read from the stream already open.
+  is.seekg(0, std::ios::end);
+  std::string image(static_cast<std::size_t>(is.tellg()), '\0');
+  is.seekg(0);
+  is.read(image.data(), static_cast<std::streamsize>(image.size()));
+  JPM_CHECK_MSG(is.good(), path + ": read failed");
+  return TraceReader(image.data(), image.size(), path).read_all();
 }
 
 }  // namespace jpm::tracefile

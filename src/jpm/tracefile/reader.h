@@ -2,7 +2,7 @@
 // header and index are validated up front, and chunks decode on demand into
 // caller-owned SoA buffers. One TraceReader may be shared by any number of
 // sweep threads — every accessor is const and decoding touches only the
-// caller's ChunkBuffer — so a multi-gigabyte trace costs one mapping, not
+// caller's buffer — so a multi-gigabyte trace costs one mapping, not
 // one copy per policy run.
 #pragma once
 
@@ -31,21 +31,6 @@ class MappedFile {
   std::size_t size_ = 0;
 };
 
-// Reusable SoA decode buffer: one chunk window of lanes. Reusing one buffer
-// across decode_chunk calls keeps a file-backed replay's working set at
-// O(chunk window) — capacity_bytes() is what the capped-RSS test asserts on.
-struct ChunkBuffer {
-  std::vector<double> times;
-  std::vector<std::uint64_t> pages;
-  std::vector<std::uint8_t> flags;
-
-  std::size_t size() const { return times.size(); }
-  std::size_t capacity_bytes() const {
-    return times.capacity() * sizeof(double) +
-           pages.capacity() * sizeof(std::uint64_t) + flags.capacity();
-  }
-};
-
 class TraceReader {
  public:
   // Maps `path` and validates the header, index checksum, and every chunk
@@ -63,12 +48,15 @@ class TraceReader {
   // Zero-copy view of chunk i's encoded payload inside the mapping.
   const std::uint8_t* chunk_data(std::size_t i) const;
 
-  // Decodes chunk i into `out` (lanes replaced, capacity reused), verifying
-  // the payload checksum first. Errors name the file, chunk, and position.
-  void decode_chunk(std::size_t i, ChunkBuffer& out) const;
+  // Decodes chunk i into the lanes of `out` (replaced, capacity reused;
+  // the derived fields are left alone), verifying the payload checksum
+  // first. Reusing one buffer across calls keeps a file-backed replay's
+  // working set at one chunk window. Errors name the file, chunk, and
+  // position.
+  void decode_chunk(std::size_t i, workload::Trace& out) const;
 
   // Decodes the whole file into a materialized Trace with the header's
-  // derived fields — the bridge back to the in-RAM world (`jpm trace cat`,
+  // derived fields — the bridge back to the in-RAM world (load_any_trace,
   // format conversion, small files).
   workload::Trace read_all() const;
 
@@ -89,10 +77,10 @@ class TraceReader {
 };
 
 // Loads any trace file the repo knows — JPMC (chunked) or CSV — into a
-// materialized Trace, sniffing the format from the leading bytes. CSV
-// carries no geometry, so page_bytes/total_pages/duration_s are zero and
-// the caller's to fill (JPMC files carry theirs). The ingestion path for
-// `jpm trace pack` and examples/trace_inspector.
+// materialized Trace. The file is opened once and its format sniffed from
+// the leading bytes. CSV carries no geometry, so page_bytes/total_pages/
+// duration_s are zero and the caller's to fill (JPMC files carry theirs).
+// The ingestion path for `jpm trace pack` and examples/trace_inspector.
 workload::Trace load_any_trace(const std::string& path);
 
 }  // namespace jpm::tracefile

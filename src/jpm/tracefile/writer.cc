@@ -77,13 +77,6 @@ void TraceWriter::append(double t, std::uint64_t page, std::uint8_t flags) {
   if (times_.size() >= options_.chunk_events) flush_chunk();
 }
 
-void TraceWriter::append(const workload::TraceEvent& e) {
-  append(e.time_s, e.page,
-         static_cast<std::uint8_t>(
-             (e.request_start ? workload::kTraceFlagStart : 0) |
-             (e.is_write ? workload::kTraceFlagWrite : 0)));
-}
-
 void TraceWriter::flush_chunk() {
   if (times_.empty()) return;
   const std::size_t n = times_.size();
@@ -204,7 +197,7 @@ FileHeader synthesize_to_file(std::ostream& os,
   // duration from the config, total pages from the file set.
   TraceWriter writer(os, config.page_bytes, gen.total_pages(),
                      config.duration_s, options);
-  while (auto e = gen.next()) writer.append(*e);
+  while (auto e = gen.next()) writer.append(e->time_s, e->page, e->flags);
   return writer.finish();
 }
 

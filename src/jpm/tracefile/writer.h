@@ -40,7 +40,6 @@ class TraceWriter {
   // within the defined bits; violations throw TraceFileError naming the
   // event index.
   void append(double t, std::uint64_t page, std::uint8_t flags);
-  void append(const workload::TraceEvent& e);
 
   // Flushes the last chunk, writes the index, patches the header, and
   // returns it. Must be called exactly once; append() is invalid after.

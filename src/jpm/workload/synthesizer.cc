@@ -67,8 +67,7 @@ struct Pending {
   double time;
   std::uint64_t page;
   std::uint32_t pages_left;  // further pages after this one
-  bool request_start;
-  bool is_write;
+  std::uint8_t flags;        // kTraceFlagStart | kTraceFlagWrite
 };
 struct PendingLater {
   bool operator()(const Pending& a, const Pending& b) const {
@@ -197,7 +196,9 @@ struct TraceGenerator::Impl {
     const bool is_write =
         config.write_fraction > 0.0 && rng.chance(config.write_fraction);
     heap.push(Pending{next_arrival, files.first_page(fi, config.page_bytes),
-                      count - 1, true, is_write});
+                      count - 1,
+                      static_cast<std::uint8_t>(
+                          kTraceFlagStart | (is_write ? kTraceFlagWrite : 0))});
     advance_arrival();
   }
 
@@ -212,9 +213,10 @@ struct TraceGenerator::Impl {
     heap.pop();
     if (p.pages_left > 0) {
       heap.push(Pending{p.time + config.intra_request_spacing_s, p.page + 1,
-                        p.pages_left - 1, false, p.is_write});
+                        p.pages_left - 1,
+                        static_cast<std::uint8_t>(p.flags & kTraceFlagWrite)});
     }
-    return TraceEvent{p.time, p.page, p.request_start, p.is_write};
+    return TraceEvent{p.time, p.page, p.flags};
   }
 };
 
@@ -250,13 +252,6 @@ const SynthesizerConfig& TraceGenerator::config() const {
 }
 std::uint64_t TraceGenerator::total_pages() const {
   return data_set_pages(impl_->files, impl_->config.page_bytes);
-}
-
-std::vector<TraceEvent> synthesize(const SynthesizerConfig& config) {
-  TraceGenerator gen(config);
-  std::vector<TraceEvent> out;
-  while (auto e = gen.next()) out.push_back(*e);
-  return out;
 }
 
 Trace synthesize_trace(const SynthesizerConfig& config) {

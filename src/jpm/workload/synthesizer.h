@@ -9,7 +9,7 @@
 // Requests arrive as a Poisson process whose rate is slowly modulated
 // (sinusoid + per-minute noise) so consecutive 10-minute periods differ the
 // way Fig. 9 of the paper shows; each request reads one whole file (pages in
-// on-disk order, the first flagged `request_start`).
+// on-disk order, the first flagged kTraceFlagStart).
 //
 // The seed-determined part of a workload — the file set, its popularity
 // distribution and the mean request size — is an immutable WorkloadModel,
@@ -139,9 +139,6 @@ class TraceGenerator {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Materializes a whole trace (convenience for tests and small runs).
-std::vector<TraceEvent> synthesize(const SynthesizerConfig& config);
 
 // Materializes the configured workload once into an immutable Trace with all
 // derived fields (total_pages, duration) filled from the generator, so the

@@ -6,21 +6,23 @@
 
 namespace jpm::workload {
 
-// One page-granular access to the disk cache.
+// Flag bits of an event (matching the binary trace format's flag byte).
+// kTraceFlagStart marks the first page of a request: a disk read for it pays
+// seek and rotation, while later pages of the same request are sequential.
+// kTraceFlagWrite marks a write access: the page is overwritten in the cache
+// (no disk read) and becomes dirty, and a flush daemon writes it back later.
+inline constexpr std::uint8_t kTraceFlagStart = 1u << 0;
+inline constexpr std::uint8_t kTraceFlagWrite = 1u << 1;
+
+// One page-granular access to the disk cache: the record the generator
+// emits, the stream ring carries (stream::StreamEvent names this type) and
+// the wire formats encode.
 struct TraceEvent {
   double time_s = 0.0;
   std::uint64_t page = 0;
-  // True for the first page of a request: a disk read for this page pays seek
-  // and rotation; subsequent pages of the same request are sequential.
-  bool request_start = false;
-  // Write access: the page is overwritten in the cache (no disk read) and
-  // becomes dirty; a flush daemon writes it back later.
-  bool is_write = false;
+  std::uint8_t flags = 0;  // kTraceFlagStart | kTraceFlagWrite
 };
-
-// Flag bits of Trace::flags (matching the binary trace format's flag byte).
-inline constexpr std::uint8_t kTraceFlagStart = 1u << 0;
-inline constexpr std::uint8_t kTraceFlagWrite = 1u << 1;
+static_assert(sizeof(TraceEvent) == 24);
 
 // A fully materialized, immutable trace: synthesized (or loaded) once and
 // then shared read-only by any number of concurrent engine replays. The
@@ -30,8 +32,9 @@ inline constexpr std::uint8_t kTraceFlagWrite = 1u << 1;
 // Events are stored structure-of-arrays: a replay pushes timestamps, page
 // ids, and op flags into the engine as independent densely packed lanes
 // (the same shape every other event source uses), instead of striding
-// through 24-byte AoS records for fields it may not need. All three lanes
-// always have equal length and share one index.
+// through 24-byte records for fields it may not need. All three lanes
+// always have equal length and share one index. A decoded JPMC chunk uses
+// the same lanes (tracefile::TraceReader::decode_chunk).
 struct Trace {
   std::vector<double> times;          // time-sorted
   std::vector<std::uint64_t> pages;
@@ -50,36 +53,14 @@ struct Trace {
   void push_back(const TraceEvent& e) {
     times.push_back(e.time_s);
     pages.push_back(e.page);
-    flags.push_back(
-        static_cast<std::uint8_t>((e.request_start ? kTraceFlagStart : 0) |
-                                  (e.is_write ? kTraceFlagWrite : 0)));
+    flags.push_back(e.flags);
   }
-  // By-value event view for callers indexing the AoS way.
-  TraceEvent event(std::size_t i) const {
-    return TraceEvent{times[i], pages[i], (flags[i] & kTraceFlagStart) != 0,
-                      (flags[i] & kTraceFlagWrite) != 0};
+  // Bytes the three lanes hold allocated: a chunk-window replay's working
+  // set (what the capped-RSS test asserts on).
+  std::size_t capacity_bytes() const {
+    return times.capacity() * sizeof(double) +
+           pages.capacity() * sizeof(std::uint64_t) + flags.capacity();
   }
-  // AoS materialization (persistence, interop with vector<TraceEvent> APIs).
-  std::vector<TraceEvent> to_events() const;
 };
-
-// Builds a Trace from an AoS event vector plus the derived fields.
-Trace trace_from_events(const std::vector<TraceEvent>& events,
-                        std::uint64_t page_bytes, std::uint64_t total_pages,
-                        double duration_s);
-
-// Materialized trace plus summary properties used by harness reporting.
-struct TraceSummary {
-  std::uint64_t events = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t distinct_pages = 0;
-  double duration_s = 0.0;
-  double bytes_accessed = 0.0;  // events * page_bytes
-};
-
-TraceSummary summarize(const std::vector<TraceEvent>& trace,
-                       std::uint64_t page_bytes);
-TraceSummary summarize(const Trace& trace);
 
 }  // namespace jpm::workload

@@ -1,24 +1,31 @@
-// Trace persistence for captured traces: CSV
-// ("time_s,page,request_start[,is_write]") for interchange with external
-// tooling and hand-captured disk-cache traces. (The chunked, mmap-able
-// "JPMC" format lives in jpm/tracefile/; load_trace recognizes its magic and
-// points there.) Loading sniffs the format from the leading bytes — never
-// the file extension — so a misnamed or binary file fails with a named
-// format error instead of a garbage parse, and validates monotonic
-// timestamps, so a corrupted or unsorted trace fails fast instead of
-// corrupting a simulation.
+// CSV trace interchange ("time_s,page,request_start[,is_write]") with
+// external tooling and hand-captured disk-cache traces. The chunked,
+// mmap-able "JPMC" format lives in jpm/tracefile/, whose load_any_trace
+// opens either kind of file: it sniffs the format from the leading bytes —
+// never the file extension — so a misnamed or binary file fails with a
+// named format error instead of a garbage parse.
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "jpm/workload/trace.h"
 
 namespace jpm::workload {
 
-void write_csv_trace(std::ostream& os, const std::vector<TraceEvent>& trace);
-std::vector<TraceEvent> read_csv_trace(std::istream& is);
+// Writes the column line (unless `header` is false: a CSV stream written
+// chunk by chunk), then one row per event with the timestamp fixed at 9
+// decimals and both flag columns. A write failure is left in the stream's
+// state for the caller to check.
+void write_csv_trace(std::ostream& os, const Trace& trace, bool header = true);
+
+// Reads CSV rows into the event lanes (the derived fields stay zero: CSV
+// carries no geometry). The column line is optional. Every row is checked
+// before it is kept, and CheckError names the line of the first bad one: a
+// row must have three or four comma-separated fields with nothing around
+// them, a finite nonnegative timestamp no earlier than the row before, a
+// decimal page id, and flag columns of exactly 0 or 1.
+Trace read_csv_trace(std::istream& is);
 
 // On-disk trace flavors distinguishable from their leading bytes.
 enum class TraceFormat {
@@ -30,11 +37,5 @@ enum class TraceFormat {
 // position. Throws CheckError naming `name` when the bytes match no known
 // format (e.g. a truncated or misnamed binary file).
 TraceFormat sniff_trace_format(std::istream& is, const std::string& name);
-
-// File-path conveniences. Saving writes CSV; loading sniffs the content and
-// rejects JPMC files with a pointer to jpm::tracefile (which owns the
-// chunked reader). Throw CheckError on IO failure or format mismatch.
-void save_trace(const std::string& path, const std::vector<TraceEvent>& trace);
-std::vector<TraceEvent> load_trace(const std::string& path);
 
 }  // namespace jpm::workload

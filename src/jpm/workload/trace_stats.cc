@@ -9,10 +9,8 @@
 
 namespace jpm::workload {
 
-TraceCharacterization characterize(const std::vector<TraceEvent>& trace,
-                                   std::uint64_t page_bytes,
-                                   double duration_s) {
-  JPM_CHECK(page_bytes > 0);
+TraceCharacterization characterize(const Trace& trace) {
+  JPM_CHECK(trace.page_bytes > 0);
   TraceCharacterization c;
   c.events = trace.size();
   if (trace.empty()) return c;
@@ -23,21 +21,22 @@ TraceCharacterization characterize(const std::vector<TraceEvent>& trace,
   double gap_sum = 0.0;
   std::uint64_t gaps = 0;
 
-  for (const auto& e : trace) {
-    if (e.request_start) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const double t = trace.times[i];
+    if ((trace.flags[i] & kTraceFlagStart) != 0) {
       ++c.requests;
       if (prev_request >= 0.0) {
-        const double gap = e.time_s - prev_request;
+        const double gap = t - prev_request;
         gap_sum += gap;
         ++gaps;
         c.max_interarrival_s = std::max(c.max_interarrival_s, gap);
       }
-      prev_request = e.time_s;
+      prev_request = t;
     }
-    if (e.is_write) ++c.writes;
-    ++page_counts[e.page];
+    if ((trace.flags[i] & kTraceFlagWrite) != 0) ++c.writes;
+    ++page_counts[trace.pages[i]];
 
-    const auto depth = tracker.access(e.page);
+    const auto depth = tracker.access(trace.pages[i]);
     if (depth == cache::kColdAccess) {
       ++c.cold_accesses;
     } else {
@@ -51,11 +50,11 @@ TraceCharacterization characterize(const std::vector<TraceEvent>& trace,
   }
 
   c.distinct_pages = page_counts.size();
-  c.duration_s = duration_s > 0.0 ? duration_s : trace.back().time_s;
+  c.duration_s = trace.times.back();
   if (c.duration_s > 0.0) {
     c.request_rate_per_s = static_cast<double>(c.requests) / c.duration_s;
     c.byte_rate_per_s = static_cast<double>(c.events) *
-                        static_cast<double>(page_bytes) / c.duration_s;
+                        static_cast<double>(trace.page_bytes) / c.duration_s;
   }
   if (gaps > 0) c.mean_interarrival_s = gap_sum / static_cast<double>(gaps);
 
@@ -76,9 +75,9 @@ TraceCharacterization characterize(const std::vector<TraceEvent>& trace,
   return c;
 }
 
-std::vector<double> idle_gaps_at_cache_size(
-    const std::vector<TraceEvent>& trace, std::uint64_t cache_pages,
-    double window_s) {
+std::vector<double> idle_gaps_at_cache_size(const Trace& trace,
+                                            std::uint64_t cache_pages,
+                                            double window_s) {
   JPM_CHECK(cache_pages > 0);
   JPM_CHECK(window_s >= 0.0);
   // Bank structure is irrelevant here; one big bank keeps it simple.
@@ -86,14 +85,15 @@ std::vector<double> idle_gaps_at_cache_size(
       cache::LruCacheOptions{cache_pages, cache_pages, cache_pages});
   std::vector<double> gaps;
   double last_miss = -1.0;
-  for (const auto& e : trace) {
-    if (cache.lookup(e.page)) continue;
-    cache.insert(e.page);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (cache.lookup(trace.pages[i])) continue;
+    cache.insert(trace.pages[i]);
+    const double t = trace.times[i];
     if (last_miss >= 0.0) {
-      const double gap = e.time_s - last_miss;
+      const double gap = t - last_miss;
       if (gap >= window_s && gap > 0.0) gaps.push_back(gap);
     }
-    last_miss = e.time_s;
+    last_miss = t;
   }
   return gaps;
 }

@@ -38,15 +38,16 @@ struct TraceCharacterization {
   double max_interarrival_s = 0.0;
 };
 
-TraceCharacterization characterize(const std::vector<TraceEvent>& trace,
-                                   std::uint64_t page_bytes,
-                                   double duration_s = 0.0);
+// Measures `trace` from its events alone: the duration is the last event's
+// timestamp, whatever duration the trace declares. The byte rate needs the
+// trace's page_bytes (CheckError when it is 0, as a CSV load leaves it).
+TraceCharacterization characterize(const Trace& trace);
 
 // Idle-interval lengths the disk would see with an LRU cache of
 // `cache_pages` (gaps between consecutive misses, aggregation window
 // applied). Useful to feed the Pareto fitting utilities directly.
-std::vector<double> idle_gaps_at_cache_size(
-    const std::vector<TraceEvent>& trace, std::uint64_t cache_pages,
-    double window_s);
+std::vector<double> idle_gaps_at_cache_size(const Trace& trace,
+                                            std::uint64_t cache_pages,
+                                            double window_s);
 
 }  // namespace jpm::workload

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <utility>
 
 #include "jpm/cache/miss_curve.h"
 #include "jpm/cache/stack_distance.h"
@@ -12,11 +14,20 @@
 namespace jpm::cache {
 namespace {
 
-IdleEvent ev(double t, std::uint64_t depth) { return IdleEvent{t, depth}; }
-IdleEvent cold(double t) { return IdleEvent{t, kColdAccess}; }
+// One access: its time and LRU stack depth (kColdAccess for a compulsory
+// miss).
+using Access = std::pair<double, std::uint64_t>;
+Access ev(double t, std::uint64_t depth) { return {t, depth}; }
+Access cold(double t) { return {t, kColdAccess}; }
+
+IdleSeries series(std::initializer_list<Access> accesses) {
+  IdleSeries s;
+  for (const auto& [t, depth] : accesses) s.push_back(t, depth);
+  return s;
+}
 
 TEST(IdleSweepTest, EmptyPeriodIsOneBigGap) {
-  const auto out = sweep_idle_intervals(std::vector<IdleEvent>{}, 0.0, 100.0, 1, 0.1, {1, 2});
+  const auto out = sweep_idle_intervals(IdleSeries{}, 0.0, 100.0, 1, 0.1, {1, 2});
   ASSERT_EQ(out.size(), 2u);
   for (const auto& e : out) {
     EXPECT_EQ(e.disk_accesses, 0u);
@@ -27,7 +38,7 @@ TEST(IdleSweepTest, EmptyPeriodIsOneBigGap) {
 }
 
 TEST(IdleSweepTest, ColdAccessesNeverRemoved) {
-  const std::vector<IdleEvent> events{cold(10), cold(50)};
+  const auto events = series({cold(10), cold(50)});
   const auto out = sweep_idle_intervals(events, 0, 100, 1, 0.1, {1000});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].disk_accesses, 2u);
@@ -37,7 +48,7 @@ TEST(IdleSweepTest, ColdAccessesNeverRemoved) {
 
 TEST(IdleSweepTest, WindowFiltersShortGaps) {
   // Gaps: 1.0, 0.05, 8.95 -> with w = 0.1 only two count.
-  const std::vector<IdleEvent> events{cold(1.0), cold(1.05)};
+  const auto events = series({cold(1.0), cold(1.05)});
   const auto out = sweep_idle_intervals(events, 0, 10, 1, 0.1, {1});
   EXPECT_EQ(out[0].idle_intervals, 2u);
   EXPECT_NEAR(out[0].idle_time_s, 1.0 + 8.95, 1e-12);
@@ -46,7 +57,7 @@ TEST(IdleSweepTest, WindowFiltersShortGaps) {
 TEST(IdleSweepTest, RemovingAccessMergesGaps) {
   // Access at t=5 with depth 1 disappears once memory >= 1 unit; the two
   // 5-second gaps merge into the whole period.
-  const std::vector<IdleEvent> events{ev(5.0, 1)};
+  const auto events = series({ev(5.0, 1)});
   const auto out = sweep_idle_intervals(events, 0, 10, 4, 0.1, {0, 1});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].disk_accesses, 1u);
@@ -60,7 +71,7 @@ TEST(IdleSweepTest, MergeOfSubWindowGapsCanCrossWindow) {
   // Two 0.08 s gaps (below w = 0.1) merge into a 0.16 s gap (above w) when
   // the middle access becomes a hit; the boundary gaps (0.05 s) stay below w
   // throughout.
-  const std::vector<IdleEvent> events{cold(1.0), ev(1.08, 1), cold(1.16)};
+  const auto events = series({cold(1.0), ev(1.08, 1), cold(1.16)});
   const auto out = sweep_idle_intervals(events, 0.95, 1.21, 1, 0.1, {0, 1});
   EXPECT_EQ(out[0].idle_intervals, 0u);
   EXPECT_EQ(out[1].idle_intervals, 1u);
@@ -73,10 +84,9 @@ TEST(IdleSweepTest, MergeOfSubWindowGapsCanCrossWindow) {
 TEST(IdleSweepTest, PaperFigure4Example) {
   StackDistanceTracker tr;
   const std::vector<std::uint64_t> refs{1, 2, 3, 5, 2, 1, 4, 6, 5, 2};
-  std::vector<IdleEvent> events;
+  IdleSeries events;
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    events.push_back(IdleEvent{static_cast<double>(i + 1) * 10.0,
-                               tr.access(refs[i])});
+    events.push_back(static_cast<double>(i + 1) * 10.0, tr.access(refs[i]));
   }
   const auto out =
       sweep_idle_intervals(events, 0.0, 110.0, 1, 0.1, {2, 4, 5, 8});
@@ -106,7 +116,7 @@ TEST(IdleSweepTest, DiskAccessCountsMatchMissCurve) {
   Rng rng(13);
   StackDistanceTracker tr;
   MissCurve mc(4, 32);
-  std::vector<IdleEvent> events;
+  IdleSeries events;
   double t = 0.0;
   for (int i = 0; i < 5000; ++i) {
     t += rng.exponential(0.05);
@@ -114,7 +124,7 @@ TEST(IdleSweepTest, DiskAccessCountsMatchMissCurve) {
                                                : rng.uniform_index(400);
     const auto depth = tr.access(page);
     mc.add(depth);
-    events.push_back(IdleEvent{t, depth});
+    events.push_back(t, depth);
   }
   std::vector<std::uint64_t> candidates{1, 2, 3, 5, 8, 13, 21, 32};
   const auto out =
@@ -129,13 +139,12 @@ TEST(IdleSweepTest, DiskAccessCountsMatchMissCurve) {
 TEST(IdleSweepTest, RandomizedAgainstBruteForce) {
   Rng rng(21);
   for (int trial = 0; trial < 20; ++trial) {
-    std::vector<IdleEvent> events;
+    IdleSeries events;
     double t = 0.0;
     for (int i = 0; i < 200; ++i) {
       t += rng.exponential(0.3);
       const bool is_cold = rng.chance(0.2);
-      events.push_back(IdleEvent{
-          t, is_cold ? kColdAccess : 1 + rng.uniform_index(40)});
+      events.push_back(t, is_cold ? kColdAccess : 1 + rng.uniform_index(40));
     }
     const double end = t + 2.0;
     const double w = 0.25;
@@ -146,9 +155,9 @@ TEST(IdleSweepTest, RandomizedAgainstBruteForce) {
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       const std::uint64_t m = candidates[c];
       std::vector<double> times{0.0};
-      for (const auto& e : events) {
-        if (e.depth_frames == kColdAccess || e.depth_frames > m) {
-          times.push_back(e.time_s);
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        if (events.depths[i] == kColdAccess || events.depths[i] > m) {
+          times.push_back(events.times[i]);
         }
       }
       times.push_back(end);
@@ -170,7 +179,7 @@ TEST(IdleSweepTest, RandomizedAgainstBruteForce) {
 
 TEST(IdleSweepTest, RejectsUnsortedCandidates) {
   EXPECT_THROW(
-      sweep_idle_intervals(std::vector<IdleEvent>{}, 0, 1, 1, 0.1, {3, 1}), CheckError);
+      sweep_idle_intervals(IdleSeries{}, 0, 1, 1, 0.1, {3, 1}), CheckError);
 }
 
 }  // namespace

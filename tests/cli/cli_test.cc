@@ -241,6 +241,37 @@ TEST(CliTest, TracePackConvertsCsvCaptures) {
   EXPECT_NE(info.output.find("total_pages:  102"), std::string::npos)
       << info.output;  // max page + 1, derived from the events
   std::remove(packed.c_str());
+
+  // Page 2^64 - 1 parses, but page + 1 wraps: no data-set size to derive.
+  const auto max_page = write_temp("cli_max_page.csv",
+                                   "3.0,3,1\n4.0,18446744073709551615,1\n");
+  const auto refused = run_cmd(kCli + " trace pack " + max_page + " " + packed);
+  EXPECT_EQ(refused.exit_code, 2) << refused.output;
+  EXPECT_NE(refused.output.find("pass --total-pages"), std::string::npos)
+      << refused.output;
+  std::remove(packed.c_str());
+}
+
+// `trace cat` writes through the same CSV writer the reader pairs with, so
+// a CSV in that form (9-decimal timestamps, both flag columns) survives
+// pack + cat byte for byte, across chunk boundaries.
+TEST(CliTest, TracePackCatRoundTripsCsvByteForByte) {
+  const std::string csv_text =
+      "time_s,page,request_start,is_write\n"
+      "0.500000000,100,1,0\n"
+      "0.502000000,101,0,0\n"
+      "1.250000000,7,1,1\n"
+      "1.252000001,8,0,1\n"
+      "9.750000000,100,1,0\n";
+  const auto csv = write_temp("cli_roundtrip.csv", csv_text);
+  const std::string packed = ::testing::TempDir() + "cli_roundtrip.jpmc";
+  const auto pack = run_cmd(kCli + " trace pack --chunk-events=2 " + csv +
+                            " " + packed);
+  ASSERT_EQ(pack.exit_code, 0) << pack.output;
+  const auto cat = run_cmd(kCli + " trace cat " + packed);
+  EXPECT_EQ(cat.exit_code, 0) << cat.output;
+  EXPECT_EQ(cat.output, csv_text);
+  std::remove(packed.c_str());
 }
 
 TEST(CliTest, TraceInfoRejectsNonJpmcFilesByName) {

@@ -48,13 +48,15 @@ class ScopedEnv {
 // ---- ShardLayout ------------------------------------------------------------
 
 TEST(ShardLayoutTest, PartitionsEventsByRouteKeepingTimeOrder) {
+  constexpr auto kStart = workload::kTraceFlagStart;
   workload::Trace trace;
-  trace.push_back({0.0, 10, true, false});   // -> server 0
-  trace.push_back({0.1, 11, false, false});  // -> server 1
-  trace.push_back({0.2, 12, true, false});   // -> server 0
-  trace.push_back({0.3, 13, true, false});   // -> server 2
-  trace.push_back({0.4, 14, false, false});  // -> server 0
-  trace.push_back({0.5, 15, true, true});    // -> server 1 (write start)
+  trace.push_back({0.0, 10, kStart});  // -> server 0
+  trace.push_back({0.1, 11});          // -> server 1
+  trace.push_back({0.2, 12, kStart});  // -> server 0
+  trace.push_back({0.3, 13, kStart});  // -> server 2
+  trace.push_back({0.4, 14});          // -> server 0
+  // -> server 1 (write start)
+  trace.push_back({0.5, 15, kStart | workload::kTraceFlagWrite});
   const std::vector<std::uint32_t> routes = {0, 1, 0, 2, 0, 1};
 
   const ShardLayout shards = build_shard_layout(trace, routes, 3);
@@ -90,8 +92,8 @@ TEST(ShardLayoutTest, PartitionsEventsByRouteKeepingTimeOrder) {
 
 TEST(ShardLayoutTest, UntouchedServerOwnsAnEmptySlice) {
   workload::Trace trace;
-  trace.push_back({1.0, 0, true, false});
-  trace.push_back({2.0, 1, true, false});
+  trace.push_back({1.0, 0, workload::kTraceFlagStart});
+  trace.push_back({2.0, 1, workload::kTraceFlagStart});
   const ShardLayout shards =
       build_shard_layout(trace, {0, 0}, 3);
   EXPECT_EQ(shards.events_of(0), 2u);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "jpm/util/check.h"
+#include "make_trace.h"
 
 namespace jpm::cluster {
 namespace {
@@ -35,14 +36,16 @@ ClusterConfig small_cluster(std::uint32_t servers,
   return c;
 }
 
-std::vector<workload::TraceEvent> tiny_trace() {
-  return {
-      {1.0, 0, true},    // stripe 0
-      {1.1, 1, false},
-      {2.0, 64, true},   // stripe 1
-      {3.0, 128, true},  // stripe 2
-      {4.0, 0, true},    // stripe 0 again
-  };
+constexpr auto kStart = workload::kTraceFlagStart;
+
+workload::Trace tiny_trace() {
+  return test::make_trace({
+      {1.0, 0, kStart},    // stripe 0
+      {1.1, 1},
+      {2.0, 64, kStart},   // stripe 1
+      {3.0, 128, kStart},  // stripe 2
+      {4.0, 0, kStart},    // stripe 0 again
+  });
 }
 
 TEST(RoutingTest, RoundRobinRotatesPerRequest) {
@@ -70,10 +73,10 @@ TEST(RoutingTest, PartitionedFollowsContent) {
 TEST(RoutingTest, UnbalancedConcentratesLightLoad) {
   auto cfg = small_cluster(4, DistributionPolicy::kUnbalanced);
   cfg.rate_cap_rps = 1000.0;  // nothing spills
-  std::vector<workload::TraceEvent> trace;
+  workload::Trace trace;
   for (int i = 0; i < 100; ++i) {
     trace.push_back({static_cast<double>(i), static_cast<std::uint64_t>(i),
-                     true});
+                     kStart});
   }
   const auto routes = route_requests(trace, cfg);
   for (auto r : routes) EXPECT_EQ(r, 0u);
@@ -83,9 +86,9 @@ TEST(RoutingTest, UnbalancedSpillsPastTheCap) {
   auto cfg = small_cluster(4, DistributionPolicy::kUnbalanced);
   cfg.rate_cap_rps = 5.0;
   cfg.rate_ewma_tau_s = 10.0;
-  std::vector<workload::TraceEvent> trace;
+  workload::Trace trace;
   for (int i = 0; i < 2000; ++i) {
-    trace.push_back({i * 0.01, static_cast<std::uint64_t>(i), true});
+    trace.push_back({i * 0.01, static_cast<std::uint64_t>(i), kStart});
   }
   const auto routes = route_requests(trace, cfg);
   std::vector<std::uint64_t> counts(4, 0);
@@ -97,27 +100,29 @@ TEST(RoutingTest, UnbalancedSpillsPastTheCap) {
 TEST(ChassisUsageTest, AlwaysOnWhenBusy) {
   std::vector<double> times;
   for (int i = 0; i < 100; ++i) times.push_back(i * 10.0);
-  const auto u = chassis_usage(times, 1000.0, 600.0);
+  const auto u = chassis_usage(times.data(), times.size(), 1000.0, 600.0);
   EXPECT_NEAR(u.on_s, 1000.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 0u);
 }
 
 TEST(ChassisUsageTest, PowersOffAfterIdleTimeout) {
-  const auto u = chassis_usage({10.0}, 10000.0, 600.0);
+  const double times[] = {10.0};
+  const auto u = chassis_usage(times, 1, 10000.0, 600.0);
   // On from 0 until 10 + 600, then off for the rest.
   EXPECT_NEAR(u.on_s, 610.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 1u);
 }
 
 TEST(ChassisUsageTest, GapInTheMiddleCycles) {
-  const auto u = chassis_usage({10.0, 5000.0}, 6000.0, 600.0);
+  const double times[] = {10.0, 5000.0};
+  const auto u = chassis_usage(times, 2, 6000.0, 600.0);
   // [0, 610] + [5000, 5600].
   EXPECT_NEAR(u.on_s, 610.0 + 600.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 2u);
 }
 
 TEST(ChassisUsageTest, UntouchedServerPowersOffOnce) {
-  const auto u = chassis_usage({}, 10000.0, 600.0);
+  const auto u = chassis_usage(nullptr, 0, 10000.0, 600.0);
   EXPECT_NEAR(u.on_s, 600.0, 1e-9);
   EXPECT_EQ(u.power_cycles, 1u);
 }

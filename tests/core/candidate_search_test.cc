@@ -20,17 +20,16 @@ JointConfig small_config() {
   return c;
 }
 
-PeriodStats make_stats(const JointConfig& c,
-                       const std::vector<cache::IdleEvent>& events) {
+PeriodStats make_stats(const JointConfig& c, const cache::IdleSeries& events) {
   PeriodStats s;
   s.start_s = 0.0;
   s.end_s = c.period_s;
   s.curve = cache::MissCurve(c.unit_frames(), c.max_units());
-  for (const auto& e : events) {
-    s.events.push_back(e);
-    s.curve.add(e.depth_frames);
+  s.events = events;
+  for (const std::uint64_t depth : events.depths) {
+    s.curve.add(depth);
     ++s.cache_accesses;
-    if (e.depth_frames == cache::kColdAccess) ++s.cold_accesses;
+    if (depth == cache::kColdAccess) ++s.cold_accesses;
   }
   return s;
 }
@@ -40,9 +39,9 @@ constexpr double kFallbackService = 0.013;
 TEST(CandidateSearchTest, HotWorkloadShrinksMemoryAndSleepsDisk) {
   const auto c = small_config();
   // 600 accesses, one per second, all hitting within one unit (depth <= 4).
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   for (int i = 0; i < 600; ++i) {
-    events.push_back({static_cast<double>(i), 1 + (i % 4ull)});
+    events.push_back(static_cast<double>(i), 1 + (i % 4ull));
   }
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
@@ -58,9 +57,9 @@ TEST(CandidateSearchTest, UtilizationConstraintForcesLargerMemory) {
   const auto c = small_config();
   // Depth in unit 2 => hits only with >= 2 units. 10 accesses/s would
   // sustain util = 10 * 0.013 = 13% > 10% at one unit.
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   for (int i = 0; i < 6000; ++i) {
-    events.push_back({i * 0.1, 5});  // depth 5 frames -> unit 2
+    events.push_back(i * 0.1, 5);  // depth 5 frames -> unit 2
   }
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
@@ -78,9 +77,9 @@ TEST(CandidateSearchTest, InfeasibleFallbackMinimizesUtilThenEnergy) {
   // Cold misses cannot be absorbed by any memory size; 20/s of them keep
   // utilization above the limit everywhere. With utilization flat across
   // sizes, the fallback picks the cheapest (smallest) memory.
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   for (int i = 0; i < 12000; ++i) {
-    events.push_back({i * 0.05, cache::kColdAccess});
+    events.push_back(i * 0.05, cache::kColdAccess);
   }
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
@@ -94,10 +93,10 @@ TEST(CandidateSearchTest, InfeasibleFallbackPrefersLowerUtilization) {
   // Heavy capacity-miss traffic in unit 1 plus cold misses: at >= 2 units
   // utilization drops (still above the limit), so the fallback must move to
   // the larger size even though it costs more memory energy.
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   for (int i = 0; i < 12000; ++i) {
-    events.push_back({i * 0.05, cache::kColdAccess});
-    events.push_back({i * 0.05 + 0.02, 5});  // unit 2
+    events.push_back(i * 0.05, cache::kColdAccess);
+    events.push_back(i * 0.05 + 0.02, 5);  // unit 2
   }
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
@@ -109,9 +108,9 @@ TEST(CandidateSearchTest, NoUsableIdlenessKeepsDiskOn) {
   const auto c = small_config();
   // Cold misses spaced below the aggregation window across the whole period:
   // no idle interval survives the filter, so spinning down never pays.
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   for (int i = 0; i < 12000; ++i) {
-    events.push_back({i * 0.05, cache::kColdAccess});
+    events.push_back(i * 0.05, cache::kColdAccess);
   }
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
@@ -121,9 +120,9 @@ TEST(CandidateSearchTest, NoUsableIdlenessKeepsDiskOn) {
 
 TEST(CandidateSearchTest, ChosenIsMinimumEnergyAmongFeasible) {
   const auto c = small_config();
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   for (int i = 0; i < 300; ++i) {
-    events.push_back({i * 2.0, 1 + (i % 8ull)});  // spans 2 units
+    events.push_back(i * 2.0, 1 + (i % 8ull));  // spans 2 units
   }
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
@@ -137,9 +136,9 @@ TEST(CandidateSearchTest, ChosenIsMinimumEnergyAmongFeasible) {
 
 TEST(CandidateSearchTest, CandidatesAscendAndCoverBounds) {
   const auto c = small_config();
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   for (int i = 0; i < 100; ++i) {
-    events.push_back({i * 5.0, 1 + (i % 20ull)});  // depths across 5 units
+    events.push_back(i * 5.0, 1 + (i % 20ull));  // depths across 5 units
   }
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
@@ -159,11 +158,11 @@ TEST(CandidateSearchTest, TimeoutRespectsDelayConstraintBound) {
   const auto c = small_config();
   // Bursty misses in unit 3 with sizeable idle gaps: the disk wants to sleep
   // but eq. 6 bounds how aggressively.
-  std::vector<cache::IdleEvent> events;
+  cache::IdleSeries events;
   double t = 0.0;
   for (int burst = 0; burst < 60; ++burst) {
     for (int k = 0; k < 40; ++k) {
-      events.push_back({t, 9});  // unit 3
+      events.push_back(t, 9);  // unit 3
       t += 0.01;
     }
     t += 9.6;  // idle gap
@@ -178,8 +177,8 @@ TEST(CandidateSearchTest, TimeoutRespectsDelayConstraintBound) {
 
 TEST(CandidateSearchTest, MeasuredServiceTimeOverridesFallback) {
   const auto c = small_config();
-  std::vector<cache::IdleEvent> events;
-  for (int i = 0; i < 6000; ++i) events.push_back({i * 0.1, 5});
+  cache::IdleSeries events;
+  for (int i = 0; i < 6000; ++i) events.push_back(i * 0.1, 5);
   auto stats = make_stats(c, events);
   // Pretend the disk measured far faster service than the fallback: one unit
   // then satisfies the utilization limit.
@@ -192,8 +191,8 @@ TEST(CandidateSearchTest, MeasuredServiceTimeOverridesFallback) {
 TEST(CandidateSearchTest, MleEstimatorProducesValidAlpha) {
   auto c = small_config();
   c.alpha_estimator = AlphaEstimator::kMle;
-  std::vector<cache::IdleEvent> events;
-  for (int i = 0; i < 300; ++i) events.push_back({i * 2.0, 1 + (i % 8ull)});
+  cache::IdleSeries events;
+  for (int i = 0; i < 300; ++i) events.push_back(i * 2.0, 1 + (i % 8ull));
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
   for (const auto& cand : r.candidates) {
@@ -207,8 +206,8 @@ TEST(CandidateSearchTest, ExponentialRuleSpinsImmediatelyOnLongIdleness) {
   auto c = small_config();
   c.timeout_rule = TimeoutRule::kExponential;
   // Sparse accesses: mean idle far above break-even.
-  std::vector<cache::IdleEvent> events;
-  for (int i = 0; i < 10; ++i) events.push_back({i * 60.0, 1});
+  cache::IdleSeries events;
+  for (int i = 0; i < 10; ++i) events.push_back(i * 60.0, 1);
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
   // At 1 unit everything hits; idle = whole period -> immediate spin-down
@@ -221,8 +220,8 @@ TEST(CandidateSearchTest, ExponentialRuleNeverSpinsOnShortIdleness) {
   auto c = small_config();
   c.timeout_rule = TimeoutRule::kExponential;
   // Constant cold misses with ~5 s gaps: mean idle < t_be = 11.7 s.
-  std::vector<cache::IdleEvent> events;
-  for (int i = 0; i < 120; ++i) events.push_back({i * 5.0, cache::kColdAccess});
+  cache::IdleSeries events;
+  for (int i = 0; i < 120; ++i) events.push_back(i * 5.0, cache::kColdAccess);
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
   EXPECT_TRUE(std::isinf(r.chosen.timeout_s));
@@ -231,8 +230,8 @@ TEST(CandidateSearchTest, ExponentialRuleNeverSpinsOnShortIdleness) {
 TEST(CandidateSearchTest, TwoCompetitiveRuleUsesBreakEven) {
   auto c = small_config();
   c.timeout_rule = TimeoutRule::kTwoCompetitive;
-  std::vector<cache::IdleEvent> events;
-  for (int i = 0; i < 20; ++i) events.push_back({i * 30.0, 1});
+  cache::IdleSeries events;
+  for (int i = 0; i < 20; ++i) events.push_back(i * 30.0, 1);
   const auto r = search_candidates(make_stats(c, events), c,
                                    kFallbackService);
   EXPECT_NEAR(r.chosen.timeout_s, c.disk.break_even_s(), 1e-9);

@@ -18,7 +18,7 @@ TEST(PeriodStatsCollectorTest, CollectsAccesses) {
   EXPECT_DOUBLE_EQ(s.start_s, 0.0);
   EXPECT_DOUBLE_EQ(s.end_s, 10.0);
   ASSERT_EQ(s.events.size(), 2u);
-  EXPECT_EQ(s.events[1].depth_frames, 5u);
+  EXPECT_EQ(s.events.depths[1], 5u);
   EXPECT_EQ(s.curve.total_accesses(), 2u);
 }
 
@@ -30,7 +30,7 @@ TEST(PeriodStatsCollectorTest, HarvestRestartsCollection) {
   const auto s = c.harvest(10.0);
   EXPECT_EQ(s.cache_accesses, 1u);
   EXPECT_DOUBLE_EQ(s.start_s, 5.0);
-  EXPECT_EQ(s.events[0].depth_frames, 7u);
+  EXPECT_EQ(s.events.depths[0], 7u);
 }
 
 TEST(PeriodStatsTest, MeanServiceHandlesZeroAccesses) {

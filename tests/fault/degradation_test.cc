@@ -13,6 +13,7 @@
 #include "jpm/core/joint_power_manager.h"
 #include "jpm/disk/disk_array.h"
 #include "jpm/disk/disk_queue.h"
+#include "make_trace.h"
 
 namespace jpm {
 namespace {
@@ -377,12 +378,13 @@ workload::SynthesizerConfig cluster_workload() {
 
 TEST(ClusterFaultTest, FaultRoutingMovesRequestsOffDownServers) {
   auto cfg = crash_cluster(2);
-  const std::vector<workload::TraceEvent> trace = {
-      {1.0, 0, true},    // stripe 0 -> server 0 (down at t = 1)
-      {1.1, 1, false},   // continuation follows its request
-      {2.0, 64, true},   // stripe 1 -> server 1
-      {6.0, 0, true},    // stripe 0 again, after the outage
-  };
+  constexpr auto kStart = workload::kTraceFlagStart;
+  const auto trace = test::make_trace({
+      {1.0, 0, kStart},   // stripe 0 -> server 0 (down at t = 1)
+      {1.1, 1},           // continuation follows its request
+      {2.0, 64, kStart},  // stripe 1 -> server 1
+      {6.0, 0, kStart},   // stripe 0 again, after the outage
+  });
   std::vector<cluster::OutageWindows> outages(2);
   outages[0] = {{0.5, 5.0}};
   const auto fr = cluster::route_requests_with_faults(trace, cfg, outages);
@@ -402,15 +404,16 @@ TEST(ClusterFaultTest, CrashForcesChassisOffAndRestart) {
   // Idle server: powers off at 600, crashes (already off) at 1000, restarts
   // at 1120, idles off again at 1720.
   const auto idle =
-      cluster::chassis_usage({}, 10000.0, 600.0, {{1000.0, 1120.0}});
+      cluster::chassis_usage(nullptr, 0, 10000.0, 600.0, {{1000.0, 1120.0}});
   EXPECT_NEAR(idle.on_s, 1200.0, 1e-9);
   EXPECT_EQ(idle.power_cycles, 3u);
 
   // Busy server: on except during the outage; the crash is one cycle.
   std::vector<double> busy_times;
   for (int i = 0; i < 1000; ++i) busy_times.push_back(i * 10.0);
-  const auto busy =
-      cluster::chassis_usage(busy_times, 10000.0, 600.0, {{1000.0, 1120.0}});
+  const auto busy = cluster::chassis_usage(
+      busy_times.data(), busy_times.size(), 10000.0, 600.0,
+      {{1000.0, 1120.0}});
   EXPECT_NEAR(busy.on_s, 10000.0 - 120.0, 1e-9);
   EXPECT_EQ(busy.power_cycles, 1u);
 }

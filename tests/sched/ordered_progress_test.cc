@@ -101,8 +101,8 @@ std::vector<std::string> sweep_progress_lines(const char* threads) {
   e.joint.page_bytes = 64 * kKiB;
   e.joint.period_s = 300.0;
   e.warm_up_s = 300.0;
-  const std::vector<std::pair<std::string, workload::SynthesizerConfig>>
-      points = {{"A", progress_workload(5)}, {"B", progress_workload(6)}};
+  const std::vector<SweepWorkload> points = {
+      {"A", progress_workload(5), {}, {}}, {"B", progress_workload(6), {}, {}}};
   const std::vector<PolicySpec> roster = {always_on_policy(), joint_policy()};
   std::vector<std::string> lines;
   run_sweep(points, roster, e,

@@ -147,9 +147,7 @@ TEST(BatchInvarianceTest, ThreadCountDoesNotInteractWithBatching) {
   // A sweep at any thread count equals each policy pushed alone in
   // 256-event batches.
   const auto w = batch_workload(7);
-  const auto points =
-      std::vector<std::pair<std::string, workload::SynthesizerConfig>>{
-          {"128MB", w}};
+  const std::vector<SweepWorkload> points{{"128MB", w, {}, {}}};
   auto sweep_at = [&](const char* threads) {
     const char* old = std::getenv("JPM_THREADS");
     const std::string saved = old ? old : "";

@@ -12,6 +12,7 @@
 
 #include "jpm/sim/runner.h"
 #include "jpm/util/check.h"
+#include "make_trace.h"
 
 namespace jpm::sim {
 namespace {
@@ -368,10 +369,11 @@ TEST(EngineTest, ReplayMatchesSynthesizedRun) {
   const auto direct = run_simulation(w, fm(mib(128)), e);
 
   workload::TraceGenerator gen(w);
-  std::vector<workload::TraceEvent> events;
-  while (auto ev = gen.next()) events.push_back(*ev);
-  const auto trace = workload::trace_from_events(
-      events, w.page_bytes, gen.total_pages(), w.duration_s);
+  workload::Trace trace;
+  while (auto ev = gen.next()) trace.push_back(*ev);
+  trace.page_bytes = w.page_bytes;
+  trace.total_pages = gen.total_pages();
+  trace.duration_s = w.duration_s;
   const auto replayed = run_simulation(trace, fm(mib(128)), e);
 
   EXPECT_EQ(replayed.cache_accesses, direct.cache_accesses);
@@ -382,19 +384,21 @@ TEST(EngineTest, ReplayMatchesSynthesizedRun) {
 
 TEST(EngineTest, ReplayRejectsBadTraces) {
   const auto e = small_engine();
-  const auto trace = [](std::vector<workload::TraceEvent> events,
-                        std::uint64_t total_pages) {
-    return workload::trace_from_events(events, 64 * kKiB, total_pages, 0.0);
-  };
-  EXPECT_THROW(run_simulation(trace({}, 0), fm(mib(128)), e), CheckError);
-  EXPECT_THROW(run_simulation(trace({{2.0, 1, true}, {1.0, 2, true}}, 0),
+  constexpr auto kStart = workload::kTraceFlagStart;
+  EXPECT_THROW(run_simulation(test::make_trace({}, 64 * kKiB), fm(mib(128)),
+                              e),
+               CheckError);
+  EXPECT_THROW(run_simulation(test::make_trace({{2.0, 1, kStart},
+                                                {1.0, 2, kStart}},
+                                               64 * kKiB),
                               fm(mib(128)), e),
                CheckError);
 
   // Page 100 of a 50-page data set: rejected by the engine's page check,
   // which names the page and the declared size.
   try {
-    run_simulation(trace({{1.0, 100, true}}, 50), fm(mib(128)), e);
+    run_simulation(test::make_trace({{1.0, 100, kStart}}, 64 * kKiB, 50),
+                   fm(mib(128)), e);
     ADD_FAILURE() << "out-of-range page accepted";
   } catch (const std::out_of_range& err) {
     EXPECT_EQ(std::string(err.what()),
@@ -417,11 +421,12 @@ struct TimerEdgeRun {
 
 TimerEdgeRun run_timer_edge_trace(double warm_up_s, double last_read_s,
                                   bool hit_at_35s) {
-  std::vector<workload::TraceEvent> events{{20.0, 1, true, false},
-                                          {21.0, 2, true, true}};
-  if (hit_at_35s) events.push_back({35.0, 1, true, false});
-  events.push_back({last_read_s, 3, true, false});
-  const auto trace = workload::trace_from_events(events, 64 * kKiB, 16, 0.0);
+  constexpr auto kStart = workload::kTraceFlagStart;
+  auto trace = test::make_trace(
+      {{20.0, 1, kStart}, {21.0, 2, kStart | workload::kTraceFlagWrite}},
+      64 * kKiB, 16);
+  if (hit_at_35s) trace.push_back({35.0, 1, kStart});
+  trace.push_back({last_read_s, 3, kStart});
   EngineConfig e;
   e.joint.physical_bytes = gib(1);
   e.joint.unit_bytes = 16 * kMiB;
@@ -457,8 +462,8 @@ TEST(EngineTest, FlushTickBeforeWarmUpStaysOutOfTheMeasuredWindow) {
 }
 
 TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {
-  std::vector<std::pair<std::string, workload::SynthesizerConfig>> workloads{
-      {"256MB", small_workload()}};
+  const std::vector<SweepWorkload> workloads{
+      {"256MB", small_workload(), {}, {}}};
   const std::vector<PolicySpec> roster{joint_policy(), fm(mib(128)),
                                        always_on_policy()};
   const auto points = run_sweep(workloads, roster, small_engine());
@@ -474,8 +479,8 @@ TEST(RunnerTest, SweepNormalizesAgainstAlwaysOn) {
 }
 
 TEST(RunnerTest, RequiresExactlyOneBaseline) {
-  std::vector<std::pair<std::string, workload::SynthesizerConfig>> workloads{
-      {"w", small_workload()}};
+  const std::vector<SweepWorkload> workloads{
+      {"w", small_workload(), {}, {}}};
   EXPECT_THROW(run_sweep(workloads, {joint_policy()}, small_engine()),
                CheckError);
   EXPECT_THROW(run_sweep(workloads,

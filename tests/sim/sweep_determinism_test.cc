@@ -51,11 +51,10 @@ std::vector<PolicySpec> six_policy_roster() {
           always_on_policy()};
 }
 
-std::vector<std::pair<std::string, workload::SynthesizerConfig>>
-three_point_sweep() {
-  return {{"128MB", point_workload(mib(128), 7)},
-          {"256MB", point_workload(mib(256), 8)},
-          {"512MB", point_workload(mib(512), 9)}};
+std::vector<SweepWorkload> three_point_sweep() {
+  return {{"128MB", point_workload(mib(128), 7), {}, {}},
+          {"256MB", point_workload(mib(256), 8), {}, {}},
+          {"512MB", point_workload(mib(512), 9), {}, {}}};
 }
 
 void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
@@ -100,9 +99,7 @@ void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
 }
 
 std::vector<SweepPoint> sweep_with_threads(
-    const char* threads,
-    const std::vector<std::pair<std::string, workload::SynthesizerConfig>>&
-        points_in,
+    const char* threads, const std::vector<SweepWorkload>& points_in,
     const EngineConfig& engine) {
   const char* old = std::getenv("JPM_THREADS");
   const std::string saved = old ? old : "";
@@ -131,10 +128,9 @@ workload::SynthesizerConfig sparse_point(std::uint64_t dataset_bytes,
   return w;
 }
 
-std::vector<std::pair<std::string, workload::SynthesizerConfig>>
-sparse_sweep() {
-  return {{"64MB", sparse_point(mib(64), 3)},
-          {"128MB", sparse_point(mib(128), 4)}};
+std::vector<SweepWorkload> sparse_sweep() {
+  return {{"64MB", sparse_point(mib(64), 3), {}, {}},
+          {"128MB", sparse_point(mib(128), 4), {}, {}}};
 }
 
 EngineConfig faulted_sweep_engine() {

@@ -207,6 +207,18 @@ TEST(SpecErrorTest, TraceSourceErrorsNameThePath) {
                   "$.workloads");
             }),
             "$.workloads[0].trace.file: unknown key");
+
+  // A cluster sweep routes a synthesized stream: a file-backed point is
+  // rejected at its trace key instead of being silently synthesized.
+  Scenario fleet;
+  fleet.name = "fleet";
+  fleet.workloads.push_back(
+      {"w", workload::SynthesizerConfig{}, "/nonexistent/never.jpmc", {}});
+  fleet.roster = {sim::joint_policy()};
+  fleet.cluster = cluster::ClusterConfig{};
+  EXPECT_EQ(error_of([&] { validate_scenario(fleet); }),
+            "$.workloads[0].trace: cluster scenarios synthesize every point "
+            "and cannot replay trace file \"/nonexistent/never.jpmc\"");
 }
 
 // ---- semantic validation ---------------------------------------------------

@@ -50,11 +50,10 @@ std::vector<sim::PolicySpec> four_policy_roster() {
           sim::always_on_policy()};
 }
 
-std::vector<std::pair<std::string, workload::SynthesizerConfig>>
-three_point_sweep() {
-  return {{"128MB", point_workload(mib(128), 7)},
-          {"256MB", point_workload(mib(256), 8)},
-          {"512MB", point_workload(mib(512), 9)}};
+std::vector<sim::SweepWorkload> three_point_sweep() {
+  return {{"128MB", point_workload(mib(128), 7), {}, {}},
+          {"256MB", point_workload(mib(256), 8), {}, {}},
+          {"512MB", point_workload(mib(512), 9), {}, {}}};
 }
 
 struct SweepArtifacts {

@@ -80,7 +80,7 @@ void refresh_checksums(std::string& file) {
 std::string error_of(const std::string& image) {
   try {
     TraceReader r(image.data(), image.size(), "t.jpmc");
-    ChunkBuffer buf;
+    workload::Trace buf;
     for (std::size_t i = 0; i < r.chunks().size(); ++i) r.decode_chunk(i, buf);
     return "";
   } catch (const TraceFileError& e) {

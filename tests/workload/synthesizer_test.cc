@@ -70,18 +70,18 @@ TEST(SynthesizerConfigTest, GeneratorRejectsInvalidConfig) {
   auto cfg = small_cfg();
   cfg.byte_rate = 0.0;
   EXPECT_THROW(TraceGenerator{cfg}, std::invalid_argument);
-  EXPECT_THROW(synthesize(cfg), std::invalid_argument);
+  EXPECT_THROW(synthesize_trace(cfg), std::invalid_argument);
 }
 
 TEST(SynthesizerTest, TimesNondecreasingAndBounded) {
-  const auto trace = synthesize(small_cfg());
+  const auto trace = synthesize_trace(small_cfg());
   ASSERT_FALSE(trace.empty());
   double prev = 0.0;
-  for (const auto& e : trace) {
-    EXPECT_GE(e.time_s, prev);
-    prev = e.time_s;
+  for (const double t : trace.times) {
+    EXPECT_GE(t, prev);
+    prev = t;
   }
-  EXPECT_LT(trace.front().time_s, 10.0);
+  EXPECT_LT(trace.times.front(), 10.0);
 }
 
 TEST(SynthesizerTest, RequestRateMatchesOfferedByteRate) {
@@ -92,26 +92,17 @@ TEST(SynthesizerTest, RequestRateMatchesOfferedByteRate) {
   const double expected_requests =
       cfg.byte_rate * cfg.duration_s / gen.model()->mean_request_bytes();
   std::uint64_t requests = 0;
-  while (auto e = gen.next()) requests += e->request_start;
+  while (auto e = gen.next()) requests += (e->flags & kTraceFlagStart) != 0;
   EXPECT_NEAR(static_cast<double>(requests) / expected_requests, 1.0, 0.1);
 }
 
 TEST(SynthesizerTest, RequestsAreContiguousPageRuns) {
-  const auto trace = synthesize(small_cfg());
-  std::uint64_t prev_page = 0;
-  bool in_request = false;
-  for (const auto& e : trace) {
-    if (!e.request_start && in_request) {
-      // continuation pages could interleave with other requests in time,
-      // but each request's own pages ascend by one; we can't check across
-      // interleaving here, so just ensure flags exist.
-    }
-    in_request = true;
-    prev_page = e.page;
-  }
-  (void)prev_page;
+  // Continuation pages could interleave with other requests in time, but
+  // each request's own pages ascend by one; we can't check across
+  // interleaving here, so just ensure start flags exist.
+  const auto trace = synthesize_trace(small_cfg());
   std::uint64_t starts = 0;
-  for (const auto& e : trace) starts += e.request_start;
+  for (const auto f : trace.flags) starts += (f & kTraceFlagStart) != 0;
   EXPECT_GT(starts, 0u);
   EXPECT_LE(starts, trace.size());
 }
@@ -123,29 +114,29 @@ TEST(SynthesizerTest, PagesWithinDataset) {
 }
 
 TEST(SynthesizerTest, DeterministicForSeed) {
-  const auto a = synthesize(small_cfg());
-  const auto b = synthesize(small_cfg());
+  const auto a = synthesize_trace(small_cfg());
+  const auto b = synthesize_trace(small_cfg());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].page, b[i].page);
-    EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
+    EXPECT_EQ(a.pages[i], b.pages[i]);
+    EXPECT_DOUBLE_EQ(a.times[i], b.times[i]);
   }
 }
 
 TEST(SynthesizerTest, ResetReplaysIdenticalStream) {
   TraceGenerator gen(small_cfg());
-  std::vector<TraceEvent> first;
+  Trace first;
   for (int i = 0; i < 1000; ++i) {
     auto e = gen.next();
     if (!e) break;
     first.push_back(*e);
   }
   gen.reset();
-  for (const auto& want : first) {
+  for (std::size_t i = 0; i < first.size(); ++i) {
     auto e = gen.next();
     ASSERT_TRUE(e.has_value());
-    EXPECT_EQ(e->page, want.page);
-    EXPECT_DOUBLE_EQ(e->time_s, want.time_s);
+    EXPECT_EQ(e->page, first.pages[i]);
+    EXPECT_DOUBLE_EQ(e->time_s, first.times[i]);
   }
 }
 
@@ -153,8 +144,8 @@ TEST(SynthesizerTest, HigherRateMoreEvents) {
   auto lo = small_cfg();
   auto hi = small_cfg();
   hi.byte_rate = 4 * lo.byte_rate;
-  const double ratio = static_cast<double>(synthesize(hi).size()) /
-                       static_cast<double>(synthesize(lo).size());
+  const double ratio = static_cast<double>(synthesize_trace(hi).size()) /
+                       static_cast<double>(synthesize_trace(lo).size());
   EXPECT_NEAR(ratio, 4.0, 0.8);
 }
 
@@ -163,12 +154,12 @@ TEST(SynthesizerTest, DensePopularityTouchesFewerDistinctPages) {
   dense.popularity = 0.05;
   auto sparse = small_cfg();
   sparse.popularity = 0.6;
-  auto distinct = [](const std::vector<TraceEvent>& t) {
-    std::unordered_set<std::uint64_t> pages;
-    for (const auto& e : t) pages.insert(e.page);
-    return pages.size();
+  auto distinct = [](const Trace& t) {
+    return std::unordered_set<std::uint64_t>(t.pages.begin(), t.pages.end())
+        .size();
   };
-  EXPECT_LT(distinct(synthesize(dense)), distinct(synthesize(sparse)));
+  EXPECT_LT(distinct(synthesize_trace(dense)),
+            distinct(synthesize_trace(sparse)));
 }
 
 TEST(SynthesizerTest, RateModulationChangesPerMinuteCounts) {
@@ -176,13 +167,13 @@ TEST(SynthesizerTest, RateModulationChangesPerMinuteCounts) {
   cfg.duration_s = 600.0;
   cfg.rate_modulation = 0.5;
   cfg.modulation_period_s = 600.0;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   // First quarter (rising sine) should carry more traffic than the third
   // quarter (falling below baseline).
   std::uint64_t q1 = 0, q3 = 0;
-  for (const auto& e : trace) {
-    if (e.time_s < 150.0) ++q1;
-    if (e.time_s >= 300.0 && e.time_s < 450.0) ++q3;
+  for (const double t : trace.times) {
+    if (t < 150.0) ++q1;
+    if (t >= 300.0 && t < 450.0) ++q3;
   }
   EXPECT_GT(q1, q3);
 }
@@ -204,35 +195,34 @@ TEST(SynthesizerTest, TemporalLocalityRaisesReuse) {
   local.locality_window = 256;
   // Fraction of requests whose first page appeared among the previous 256
   // request starts.
-  auto short_range_reuse = [](const std::vector<TraceEvent>& t) {
+  auto short_range_reuse = [](const Trace& t) {
     std::vector<std::uint64_t> recent;
     std::uint64_t repeats = 0, starts = 0;
-    for (const auto& e : t) {
-      if (!e.request_start) continue;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if ((t.flags[i] & kTraceFlagStart) == 0) continue;
       ++starts;
       for (std::uint64_t p : recent) {
-        if (p == e.page) {
+        if (p == t.pages[i]) {
           ++repeats;
           break;
         }
       }
-      recent.push_back(e.page);
+      recent.push_back(t.pages[i]);
       if (recent.size() > 256) recent.erase(recent.begin());
     }
     return static_cast<double>(repeats) / static_cast<double>(starts);
   };
-  const double with = short_range_reuse(synthesize(local));
-  const double without = short_range_reuse(synthesize(plain));
+  const double with = short_range_reuse(synthesize_trace(local));
+  const double without = short_range_reuse(synthesize_trace(plain));
   EXPECT_GT(with, without + 0.3);
 }
 
 TEST(SynthesizerTest, TemporalLocalityKeepsDeterminism) {
   auto cfg = small_cfg();
   cfg.temporal_locality = 0.7;
-  const auto a = synthesize(cfg);
-  const auto b = synthesize(cfg);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].page, b[i].page);
+  const auto a = synthesize_trace(cfg);
+  const auto b = synthesize_trace(cfg);
+  EXPECT_EQ(a.pages, b.pages);
 }
 
 TEST(SynthesizerTest, ZeroLocalityWindowDisablesReuse) {
@@ -241,19 +231,19 @@ TEST(SynthesizerTest, ZeroLocalityWindowDisablesReuse) {
   cfg.locality_window = 0;
   // Must behave like the plain configuration (no recent buffer to draw
   // from) and, critically, not crash.
-  const auto t = synthesize(cfg);
+  const auto t = synthesize_trace(cfg);
   EXPECT_FALSE(t.empty());
 }
 
 TEST(SynthesizerTest, WriteFractionProducesWrites) {
   auto cfg = small_cfg();
   cfg.write_fraction = 0.25;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   std::uint64_t write_requests = 0, requests = 0;
-  for (const auto& e : trace) {
-    if (!e.request_start) continue;
+  for (const auto f : trace.flags) {
+    if ((f & kTraceFlagStart) == 0) continue;
     ++requests;
-    write_requests += e.is_write;
+    write_requests += (f & kTraceFlagWrite) != 0;
   }
   ASSERT_GT(requests, 100u);
   EXPECT_NEAR(static_cast<double>(write_requests) /
@@ -263,21 +253,22 @@ TEST(SynthesizerTest, WriteFractionProducesWrites) {
 
 TEST(SynthesizerTest, WriteFlagCoversWholeRequest) {
   // At a very low rate requests almost never interleave, so each block from
-  // one request_start to the next is a single request whose pages must all
+  // one request start to the next is a single request whose pages must all
   // carry the same write flag.
   auto cfg = small_cfg();
   cfg.write_fraction = 0.5;
   cfg.byte_rate = 0.2e6;
   cfg.duration_s = 600.0;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   bool current = false;
   std::uint64_t continuations = 0, mismatches = 0;
-  for (const auto& e : trace) {
-    if (e.request_start) {
-      current = e.is_write;
+  for (const auto f : trace.flags) {
+    const bool is_write = (f & kTraceFlagWrite) != 0;
+    if ((f & kTraceFlagStart) != 0) {
+      current = is_write;
     } else {
       ++continuations;
-      mismatches += e.is_write != current;
+      mismatches += is_write != current;
     }
   }
   // Allow a tiny number of mismatches from the rare interleaved request.
@@ -288,8 +279,8 @@ TEST(SynthesizerTest, ZeroWriteFractionKeepsLegacyStream) {
   // The write extension must not consume RNG draws when disabled, so traces
   // from older configurations stay bit-identical.
   auto cfg = small_cfg();
-  const auto a = synthesize(cfg);
-  for (const auto& e : a) ASSERT_FALSE(e.is_write);
+  const auto a = synthesize_trace(cfg);
+  for (const auto f : a.flags) ASSERT_EQ(f & kTraceFlagWrite, 0);
 }
 
 // ---- shared workload models ------------------------------------------------
@@ -389,19 +380,6 @@ TEST(WorkloadModelTest, TotalPagesHelperMatchesGenerator) {
   auto bad = small_cfg();
   bad.page_bytes = 0;
   EXPECT_THROW(total_pages(bad), std::invalid_argument);
-}
-
-TEST(SummarizeTest, CountsAndDuration) {
-  const auto cfg = small_cfg();
-  const auto trace = synthesize(cfg);
-  const auto s = summarize(trace, cfg.page_bytes);
-  EXPECT_EQ(s.events, trace.size());
-  EXPECT_GT(s.requests, 0u);
-  EXPECT_GT(s.distinct_pages, 0u);
-  EXPECT_LE(s.duration_s, cfg.duration_s);
-  EXPECT_DOUBLE_EQ(
-      s.bytes_accessed,
-      static_cast<double>(trace.size()) * static_cast<double>(cfg.page_bytes));
 }
 
 }  // namespace

@@ -13,17 +13,18 @@
 #include "jpm/tracefile/writer.h"
 #include "jpm/util/check.h"
 #include "jpm/workload/synthesizer.h"
+#include "make_trace.h"
 
 namespace jpm::workload {
 namespace {
 
-std::vector<TraceEvent> sample_trace() {
-  return {
-      {0.5, 100, true},
-      {0.502, 101, false},
-      {1.25, 7, true},
-      {9.75, 100, true},
-  };
+Trace sample_trace() {
+  return test::make_trace({
+      {0.5, 100, kTraceFlagStart},
+      {0.502, 101},
+      {1.25, 7, kTraceFlagStart | kTraceFlagWrite},
+      {9.75, 100, kTraceFlagStart},
+  });
 }
 
 TEST(TraceIoTest, CsvRoundTrip) {
@@ -33,15 +34,16 @@ TEST(TraceIoTest, CsvRoundTrip) {
   const auto original = sample_trace();
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_NEAR(loaded[i].time_s, original[i].time_s, 1e-6);
-    EXPECT_EQ(loaded[i].page, original[i].page);
-    EXPECT_EQ(loaded[i].request_start, original[i].request_start);
+    EXPECT_NEAR(loaded.times[i], original.times[i], 1e-6);
   }
+  EXPECT_EQ(loaded.pages, original.pages);
+  EXPECT_EQ(loaded.flags, original.flags);
 }
 
 TEST(TraceIoTest, EmptyTraceRoundTrips) {
   std::stringstream csv;
-  write_csv_trace(csv, std::vector<TraceEvent>{});
+  write_csv_trace(csv, Trace{});
+  EXPECT_EQ(csv.str(), "time_s,page,request_start,is_write\n");
   EXPECT_TRUE(read_csv_trace(csv).empty());
 }
 
@@ -67,7 +69,7 @@ std::string write_temp(const std::string& name, const std::string& bytes) {
 
 std::string load_error(const std::string& path) {
   try {
-    load_trace(path);
+    tracefile::load_any_trace(path);
     return "";
   } catch (const CheckError& e) {
     return e.what();
@@ -90,8 +92,11 @@ TEST(TraceIoTest, RejectsTruncatedBinary) {
   // tracefile reader with the defect named, never as a CSV parse.
   std::ostringstream os;
   {
+    const auto trace = sample_trace();
     tracefile::TraceWriter writer(os, 64 * kKiB, 128, 10.0);
-    for (const auto& e : sample_trace()) writer.append(e);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      writer.append(trace.times[i], trace.pages[i], trace.flags[i]);
+    }
     writer.finish();
   }
   std::string bytes = os.str();
@@ -107,10 +112,34 @@ TEST(TraceIoTest, RejectsTruncatedBinary) {
   std::remove(path.c_str());
 }
 
+std::string csv_error(const std::string& csv) {
+  std::stringstream ss(csv);
+  try {
+    read_csv_trace(ss);
+    return "";
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+}
+
 TEST(TraceIoTest, RejectsMalformedCsv) {
-  std::stringstream ss;
-  ss << "time_s,page,request_start\n1.0;4;1\n";
-  EXPECT_THROW(read_csv_trace(ss), CheckError);
+  // Each bad row sits on line 3, after the header and one good row; the
+  // error names that line.
+  for (const std::string row :
+       {"1.0;4;1", "1.0,5,1x", "2.0,6,0,1,garbage", "3.0,7,2,5", "4.0,-1,1,0",
+        "5.0,8", "5.0,8,1,", " 5.0,8,1", "5.0,8,+1", "nan,8,1", "-1.0,8,1",
+        "5.0,18446744073709551616,1"}) {
+    const std::string error =
+        csv_error("time_s,page,request_start,is_write\n0.5,1,1,0\n" + row +
+                  "\n");
+    EXPECT_NE(error.find("CSV trace line 3: "), std::string::npos)
+        << row << " -> " << error;
+  }
+  // The largest page id still parses; only its data-set size cannot be
+  // derived from it (see `jpm trace pack`).
+  std::stringstream max_page("1.0,18446744073709551615,1\n");
+  EXPECT_EQ(read_csv_trace(max_page).pages.front(),
+            18446744073709551615ull);
 }
 
 TEST(TraceIoTest, RejectsUnsortedTrace) {
@@ -124,15 +153,14 @@ TEST(TraceIoTest, CsvHeaderIsOptional) {
   ss << "1.0,5,1\n2.0,6,0\n";
   const auto t = read_csv_trace(ss);
   ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].page, 5u);
-  EXPECT_FALSE(t[1].request_start);
+  EXPECT_EQ(t.pages[0], 5u);
+  EXPECT_EQ(t.flags[1], 0);
 }
 
 TEST(TraceIoTest, FileRoundTripBothFormats) {
-  // The two on-disk formats: CSV through save_trace/load_trace, JPMC
-  // through the chunked writer, both read back by load_any_trace (the
-  // `jpm trace pack` ingestion path), which sniffs rather than trusting the
-  // extension.
+  // The two on-disk formats: CSV through write_csv_trace, JPMC through the
+  // chunked writer, both read back by load_any_trace (the `jpm trace pack`
+  // ingestion path), which sniffs rather than trusting the extension.
   namespace fs = std::filesystem;
   const auto dir = fs::temp_directory_path();
   SynthesizerConfig cfg;
@@ -140,34 +168,33 @@ TEST(TraceIoTest, FileRoundTripBothFormats) {
   cfg.byte_rate = 20e6;
   cfg.duration_s = 10.0;
   cfg.page_bytes = 64 * kKiB;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   ASSERT_FALSE(trace.empty());
 
   const std::string csv = (dir / "jpm_trace_test.dat").string();
-  save_trace(csv, trace);
-  const std::string jpmc = (dir / "jpm_trace_test.jpmc").string();
   {
-    std::ofstream os(jpmc, std::ios::binary);
-    tracefile::TraceWriter writer(os, cfg.page_bytes, 1024, cfg.duration_s);
-    for (const auto& e : trace) writer.append(e);
-    writer.finish();
+    std::ofstream os(csv);
+    write_csv_trace(os, trace);
+    ASSERT_TRUE(os.good());
   }
-  EXPECT_EQ(load_trace(csv).size(), trace.size());
+  const std::string jpmc = (dir / "jpm_trace_test.jpmc").string();
+  tracefile::write_trace_file(jpmc, trace);
   for (const std::string& path : {csv, jpmc}) {
     const auto loaded = tracefile::load_any_trace(path);
     ASSERT_EQ(loaded.size(), trace.size()) << path;
-    EXPECT_EQ(loaded.pages.front(), trace.front().page);
-    EXPECT_EQ(loaded.pages.back(), trace.back().page);
+    EXPECT_EQ(loaded.pages, trace.pages) << path;
+    EXPECT_EQ(loaded.flags, trace.flags) << path;
     std::remove(path.c_str());
   }
 }
 
 TEST(TraceIoTest, MissingFileThrows) {
-  EXPECT_THROW(load_trace("/nonexistent/path/trace.csv"), CheckError);
+  EXPECT_THROW(tracefile::load_any_trace("/nonexistent/path/trace.csv"),
+               CheckError);
 }
 
 // ---- format sniffing -------------------------------------------------------
-// load_trace routes on leading bytes, never on the file extension.
+// load_any_trace routes on leading bytes, never on the file extension.
 
 std::string sniff_error(const std::string& content) {
   std::stringstream ss(content);
@@ -195,25 +222,6 @@ TEST(TraceIoTest, SniffNamesUnrecognizedAndEmptyInputs) {
                 .find("unrecognized trace format"),
             std::string::npos);
   EXPECT_NE(sniff_error("").find("empty trace file"), std::string::npos);
-}
-
-TEST(TraceIoTest, LoadTraceRefusesChunkedFilesByName) {
-  // A JPMC file needs the tracefile reader; load_trace names the right tool
-  // instead of misparsing the header as CSV.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "jpm_sniff.jpmc").string();
-  std::ofstream f(path, std::ios::binary);
-  f << "JPMC" << std::string(60, '\0');
-  f.close();
-  try {
-    load_trace(path);
-    ADD_FAILURE() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("jpm::tracefile::TraceReader"),
-              std::string::npos)
-        << e.what();
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

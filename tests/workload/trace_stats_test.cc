@@ -6,25 +6,31 @@
 
 #include "jpm/util/check.h"
 #include "jpm/workload/synthesizer.h"
+#include "make_trace.h"
 
 namespace jpm::workload {
 namespace {
 
+using test::make_trace;
+constexpr auto kStart = kTraceFlagStart;
+
 TEST(CharacterizeTest, EmptyTraceIsZero) {
-  const auto c = characterize({}, 64 * kKiB);
+  const auto c = characterize(make_trace({}, 64 * kKiB));
   EXPECT_EQ(c.events, 0u);
   EXPECT_EQ(c.requests, 0u);
   EXPECT_EQ(c.duration_s, 0.0);
 }
 
 TEST(CharacterizeTest, CountsAndRates) {
-  std::vector<TraceEvent> trace{
-      {0.0, 1, true},
-      {1.0, 2, true, true},  // a write
-      {2.0, 1, true},
-      {4.0, 3, true},
-  };
-  const auto c = characterize(trace, kMiB);
+  const auto trace = make_trace(
+      {
+          {0.0, 1, kStart},
+          {1.0, 2, kStart | kTraceFlagWrite},  // a write
+          {2.0, 1, kStart},
+          {4.0, 3, kStart},
+      },
+      kMiB);
+  const auto c = characterize(trace);
   EXPECT_EQ(c.events, 4u);
   EXPECT_EQ(c.requests, 4u);
   EXPECT_EQ(c.writes, 1u);
@@ -41,11 +47,13 @@ TEST(CharacterizeTest, CountsAndRates) {
 TEST(CharacterizeTest, ReuseBucketsByDepth) {
   // Page 1 re-accessed immediately (depth 1 -> bucket 0), then after two
   // intervening distinct pages (depth 3 -> bucket 1).
-  std::vector<TraceEvent> trace{
-      {0.0, 1, true}, {1.0, 1, true}, {2.0, 2, true},
-      {3.0, 3, true}, {4.0, 1, true},
-  };
-  const auto c = characterize(trace, kMiB);
+  const auto trace = make_trace({{0.0, 1, kStart},
+                                 {1.0, 1, kStart},
+                                 {2.0, 2, kStart},
+                                 {3.0, 3, kStart},
+                                 {4.0, 1, kStart}},
+                                kMiB);
+  const auto c = characterize(trace);
   ASSERT_GE(c.reuse_depth_pow2.size(), 2u);
   EXPECT_EQ(c.reuse_depth_pow2[0], 1u);  // depth 1
   EXPECT_EQ(c.reuse_depth_pow2[1], 1u);  // depth 3
@@ -53,14 +61,15 @@ TEST(CharacterizeTest, ReuseBucketsByDepth) {
 
 TEST(CharacterizeTest, HotFractionDetectsSkew) {
   // 90 accesses to page 0, one access each to pages 1..10.
-  std::vector<TraceEvent> trace;
+  Trace trace;
+  trace.page_bytes = kMiB;
   for (int i = 0; i < 90; ++i) {
-    trace.push_back({static_cast<double>(trace.size()), 0, true});
+    trace.push_back({static_cast<double>(trace.size()), 0, kStart});
   }
   for (std::uint64_t p = 1; p <= 10; ++p) {
-    trace.push_back({static_cast<double>(trace.size()), p, true});
+    trace.push_back({static_cast<double>(trace.size()), p, kStart});
   }
-  const auto c = characterize(trace, kMiB);
+  const auto c = characterize(trace);
   // One of eleven pages carries 90% of the mass.
   EXPECT_NEAR(c.hot_page_fraction_90, 1.0 / 11.0, 1e-9);
 }
@@ -74,8 +83,7 @@ TEST(CharacterizeTest, MatchesSynthesizerConfiguration) {
   cfg.page_bytes = 64 * kKiB;
   cfg.rate_modulation = 0.0;
   cfg.seed = 8;
-  const auto trace = synthesize(cfg);
-  const auto c = characterize(trace, cfg.page_bytes, cfg.duration_s);
+  const auto c = characterize(synthesize_trace(cfg));
   TraceGenerator gen(cfg);
   const double expected_rate =
       cfg.byte_rate / gen.model()->mean_request_bytes();
@@ -87,9 +95,8 @@ TEST(CharacterizeTest, MatchesSynthesizerConfiguration) {
 
 TEST(IdleGapsTest, GapsBetweenMissesOnly) {
   // Cache of 2 pages; stream: 1, 2 (misses), 1 (hit), 3 (miss at t=9).
-  std::vector<TraceEvent> trace{
-      {0.0, 1, true}, {1.0, 2, true}, {2.0, 1, true}, {9.0, 3, true},
-  };
+  const auto trace = make_trace(
+      {{0.0, 1, kStart}, {1.0, 2, kStart}, {2.0, 1, kStart}, {9.0, 3, kStart}});
   const auto gaps = idle_gaps_at_cache_size(trace, 2, 0.0);
   // Misses at 0, 1, 9 -> gaps 1 and 8.
   ASSERT_EQ(gaps.size(), 2u);
@@ -98,9 +105,8 @@ TEST(IdleGapsTest, GapsBetweenMissesOnly) {
 }
 
 TEST(IdleGapsTest, WindowFiltersShortGaps) {
-  std::vector<TraceEvent> trace{
-      {0.0, 1, true}, {1.0, 2, true}, {9.0, 3, true},
-  };
+  const auto trace =
+      make_trace({{0.0, 1, kStart}, {1.0, 2, kStart}, {9.0, 3, kStart}});
   const auto gaps = idle_gaps_at_cache_size(trace, 1, 2.0);
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_DOUBLE_EQ(gaps[0], 8.0);
@@ -113,7 +119,7 @@ TEST(IdleGapsTest, BiggerCacheLeavesFewerLongerGaps) {
   cfg.duration_s = 120.0;
   cfg.page_bytes = 64 * kKiB;
   cfg.seed = 10;
-  const auto trace = synthesize(cfg);
+  const auto trace = synthesize_trace(cfg);
   // Note: a bigger cache can report MORE gaps above the window — dense
   // sub-window gaps merge into countable ones — so the invariants are the
   // mean gap length and the raw miss count, not the filtered gap count.
@@ -132,7 +138,7 @@ TEST(IdleGapsTest, BiggerCacheLeavesFewerLongerGaps) {
 }
 
 TEST(IdleGapsTest, RejectsZeroCache) {
-  EXPECT_THROW(idle_gaps_at_cache_size({}, 0, 0.1), CheckError);
+  EXPECT_THROW(idle_gaps_at_cache_size(Trace{}, 0, 0.1), CheckError);
 }
 
 }  // namespace
