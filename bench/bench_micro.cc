@@ -3,7 +3,8 @@
 // Pareto fitting, trace synthesis throughput, the workload-model build (file
 // set + popularity solve) at scenario shape, single-policy engine replay —
 // the perf baseline for the sweep hot loop — the bank policies' replay at
-// the fig7 16 GB point against a fixed-memory run, engine construction with its
+// the fig7 16 GB point against a fixed-memory run, the marginal cost of a
+// trajectory-group member there, engine construction with its
 // warm start at scenario shape, the work-stealing fan-out under
 // uniform and straggler task mixes, JPMC trace-file
 // encode/decode and file-backed replay (jpm::tracefile), and scenario-file
@@ -220,14 +221,10 @@ void BM_EngineReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineReplay)->Arg(0)->Arg(1);
 
-// The bank policies at the shape where they cost the most: the fig7 16 GB
-// point (16 GB data set at 100 MB/s, 256 kB pages, 1,500 s, 128 GB of
-// physical memory in 16 MB banks, prefill on, 600 s warm-up), where a DS
-// run disables most of its 8,192 banks at 732 s. The arg picks the policy
-// (0 = 2TFM-16GB, 1 = Always-on, 2 = 2TPD-128GB, 3 = 2TDS-128GB), so one
-// run gives each bank policy's cost per event against a fixed-memory run.
-// Items = trace events. The ~1M-event trace is synthesized once per process.
-void BM_BankPolicyReplay(benchmark::State& state) {
+// The fig7 16 GB point (16 GB data set at 100 MB/s, 256 kB pages, 1,500 s,
+// 128 GB of physical memory in 16 MB banks, prefill on, 600 s warm-up):
+// its ~1M-event trace, synthesized once per process, and its engine config.
+const workload::Trace& fig7_16gb_trace() {
   static const workload::Trace trace = [] {
     workload::SynthesizerConfig cfg;
     cfg.dataset_bytes = gib(16);
@@ -241,7 +238,10 @@ void BM_BankPolicyReplay(benchmark::State& state) {
     cfg.seed = 1;
     return workload::synthesize_trace(cfg);
   }();
+  return trace;
+}
 
+sim::EngineConfig fig7_16gb_engine() {
   sim::EngineConfig e;
   e.joint.physical_bytes = gib(128);
   e.joint.unit_bytes = 16 * kMiB;
@@ -250,6 +250,17 @@ void BM_BankPolicyReplay(benchmark::State& state) {
   e.joint.period_s = 600.0;
   e.prefill_cache = true;
   e.warm_up_s = 600.0;
+  return e;
+}
+
+// The bank policies at the shape where they cost the most: the fig7 16 GB
+// point, where a DS run disables most of its 8,192 banks at 732 s. The arg
+// picks the policy (0 = 2TFM-16GB, 1 = Always-on, 2 = 2TPD-128GB,
+// 3 = 2TDS-128GB), so one run gives each bank policy's cost per event
+// against a fixed-memory run. Items = trace events.
+void BM_BankPolicyReplay(benchmark::State& state) {
+  const workload::Trace& trace = fig7_16gb_trace();
+  const sim::EngineConfig e = fig7_16gb_engine();
   constexpr auto kTwoC = sim::DiskPolicyKind::kTwoCompetitive;
   const sim::PolicySpec policies[] = {
       sim::fixed_policy(kTwoC, gib(16)), sim::always_on_policy(),
@@ -264,6 +275,37 @@ void BM_BankPolicyReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_BankPolicyReplay)
     ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
+
+// The marginal cost of a trajectory-group member, at the fig7 16 GB point:
+// the paper roster's 128 GB group (2TFM-128GB, ADFM-128GB, 2TPD-128GB,
+// ADPD-128GB, Always-on), which keeps all of memory and makes no disk access
+// there, run with its first member alone (/1) or with all five (/5). Items
+// = events x members, so /5's items/s over /1's is how far below 5x the
+// five-member group costs.
+void BM_TrajectoryGroup(benchmark::State& state) {
+  const workload::Trace& trace = fig7_16gb_trace();
+  const sim::EngineConfig e = fig7_16gb_engine();
+  constexpr auto kTwoC = sim::DiskPolicyKind::kTwoCompetitive;
+  constexpr auto kAd = sim::DiskPolicyKind::kAdaptive;
+  const sim::PolicySpec group[] = {
+      sim::fixed_policy(kTwoC, gib(128)), sim::fixed_policy(kAd, gib(128)),
+      sim::powerdown_policy(kTwoC, gib(128)),
+      sim::powerdown_policy(kAd, gib(128)), sim::always_on_policy()};
+  std::vector<sim::GroupMember> members;
+  for (std::int64_t k = 0; k < state.range(0); ++k) {
+    members.push_back({group[k], nullptr});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::run_simulation(trace, members, e));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.size()) *
+                          state.range(0));
+}
+BENCHMARK(BM_TrajectoryGroup)
+    ->Arg(1)
+    ->Arg(5)
     ->Unit(benchmark::kMillisecond);
 
 // Engine construction at popularity_16k's shape (Fig. 8: 16 kB pages,

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -24,42 +26,112 @@
 #include "jpm/workload/trace.h"
 
 namespace jpm::sim {
+namespace {
+
+// One method of a trajectory group: its disk half, its static memory view,
+// and the metrics and telemetry of its run.
+struct Member {
+  Member(const GroupMember& m, const mem::RdramParams& params,
+         std::uint64_t static_bytes)
+      : policy(m.policy), given_run(m.telemetry),
+        meter(params, static_bytes, 0.0) {
+    metrics.policy_name = policy.name;
+  }
+
+  PolicySpec policy;
+  telemetry::RunRecorder* given_run;
+
+  std::unique_ptr<disk::TimeoutPolicy> timeout_policy;
+  disk::DynamicTimeout* dynamic_timeout = nullptr;  // set for joint runs
+  std::unique_ptr<disk::Storage> disk;
+  // Static memory energy of the FM size or the joint manager's size; sized
+  // 0 for the bank policies, whose static energy is their BankSet's. The
+  // dynamic half is the engine's, summed once for the group.
+  mem::MemoryEnergyMeter meter;
+  mem::BankSet* banks = nullptr;  // the engine's set for this bank policy
+
+  // Filled as the run goes for what only this member sees (latency,
+  // spin-ups, periods); the group's counters are copied in at finish.
+  RunMetrics metrics;
+
+  // The member's telemetry run, and whether it must be bound to the thread
+  // around the member's work (it is not the run the thread already has).
+  // All pointers stay null when no session is active.
+  telemetry::RunRecorder* telem = nullptr;
+  bool rebind = false;
+  telemetry::TableRecorder* telem_periods = nullptr;
+  BucketHistogram* telem_idle = nullptr;
+  BucketHistogram* telem_latency = nullptr;
+  BucketHistogram* telem_spinup = nullptr;
+  double telem_prev_energy_j = 0.0;
+
+  // Per-period disk-side quantities (Fig. 9 and period records).
+  double period_gap_sum = 0.0;
+  std::uint64_t period_gap_count = 0;
+  double period_busy_start_s = 0.0;
+  std::uint64_t period_delayed_requests = 0;
+  double last_disk_finish = 0.0;
+
+  // This member's cumulative totals at the warm-up boundary.
+  struct Snapshot {
+    double mem_static_j = 0.0;
+    double bank_static_j = 0.0;
+    disk::DiskEnergyBreakdown disk;
+    double busy_s = 0.0;
+    std::uint64_t shutdowns = 0;
+    std::uint64_t long_latency = 0;
+    std::uint64_t spin_ups = 0;
+    double latency_s = 0.0;
+  } snapshot;
+};
+
+// Binds a member's telemetry run to the thread for the scope when it is not
+// the thread's run already: a group's other members, while a session is
+// active. Otherwise a no-op.
+class MemberScope {
+ public:
+  explicit MemberScope(const Member& m) {
+    if (m.rebind) scope_.emplace(m.telem);
+  }
+
+ private:
+  std::optional<telemetry::ScopedRun> scope_;
+};
+
+}  // namespace
 
 struct Engine::Impl {
-  PolicySpec policy;
   EngineConfig config;
 
   double duration_s = 0.0;  // telemetry annotation only (run_begin)
   std::uint64_t total_pages = 0;
 
-  std::unique_ptr<disk::TimeoutPolicy> timeout_policy;
-  disk::DynamicTimeout* dynamic_timeout = nullptr;  // set for joint runs
-  std::unique_ptr<disk::Storage> disk;
   // One page table shared by the LRU cache and (in joint runs) the
   // stack-distance tracker: the hot loop resolves each event's page with a
   // single lookup and hands the entry to both. Declared before its users so
   // it outlives them.
   cache::PageTable page_table;
   std::unique_ptr<cache::LruCache> lru;
-  mem::MemoryEnergyMeter meter;
-  std::unique_ptr<mem::BankSet> banks;  // PD / DS / always-on static energy
+  mem::MemoryEnergyMeter dynamic_meter;  // dynamic energy only (size 0)
+  // One BankSet per distinct bank policy among the members (PD, DS or
+  // always-on static energy), touched once per access; the DS set, if any,
+  // also drives bank invalidation.
+  std::vector<std::unique_ptr<mem::BankSet>> banks;
+  mem::BankSet* disable_banks = nullptr;
 
-  // Joint-method machinery.
+  // Joint-method machinery (a joint method runs alone).
   std::unique_ptr<cache::StackDistanceTracker> tracker;
   std::unique_ptr<core::PeriodStatsCollector> collector;
   std::unique_ptr<core::JointPowerManager> manager;
   std::uint64_t current_units = 0;
 
-  RunMetrics metrics;
+  std::vector<Member> members;
 
-  // Telemetry stream bound to this thread when the run starts; all pointers
-  // stay null when no session is active, so the hot path costs one branch.
-  telemetry::RunRecorder* telem = nullptr;
-  telemetry::TableRecorder* telem_periods = nullptr;
-  BucketHistogram* telem_idle = nullptr;
-  BucketHistogram* telem_latency = nullptr;
-  BucketHistogram* telem_spinup = nullptr;
-  double telem_prev_energy_j = 0.0;
+  // The cache half's counters, the same for every member.
+  std::uint64_t cache_accesses = 0;
+  std::uint64_t disk_accesses = 0;  // read misses served by the disk
+  std::uint64_t disk_writes = 0;
+  std::uint64_t readahead_fetches = 0;
 
   double next_flush = 0.0;  // next background writeback tick (0 = disabled)
   // The earliest of next_boundary, a pending warm-up snapshot and next_flush:
@@ -72,16 +144,11 @@ struct Engine::Impl {
   std::vector<cache::PageId> dirty_scratch;
   std::vector<mem::BankDisable> disable_scratch;
 
-  // Per-period measured quantities (Fig. 9 and period records).
+  // Per-period quantities of the cache half.
   double next_boundary = 0.0;
   double period_start = 0.0;
   std::uint64_t period_cache_accesses = 0;
   std::uint64_t period_disk_accesses = 0;
-  double period_gap_sum = 0.0;
-  std::uint64_t period_gap_count = 0;
-  double period_busy_start_s = 0.0;
-  std::uint64_t period_delayed_requests = 0;
-  double last_disk_finish;
   // Engines start lazily at the first push and end at finish(); forced
   // fallback / shed counts come from the stream overload policies (see
   // engine.h).
@@ -90,28 +157,20 @@ struct Engine::Impl {
   bool forced_fallback = false;
   std::uint64_t period_shed_events = 0;
 
-  // Cumulative totals at the warm-up boundary, subtracted at the end so
-  // reported metrics cover only the measured window.
+  // The cache half's cumulative totals at the warm-up boundary, subtracted
+  // at the end so reported metrics cover only the measured window.
   struct Snapshot {
     bool taken = false;
-    mem::MemoryEnergyBreakdown mem;
-    double bank_static_j = 0.0;
-    disk::DiskEnergyBreakdown disk;
-    double busy_s = 0.0;
-    std::uint64_t shutdowns = 0;
+    double dynamic_j = 0.0;
     std::uint64_t cache_accesses = 0;
     std::uint64_t disk_accesses = 0;
     std::uint64_t disk_writes = 0;
     std::uint64_t readahead = 0;
-    std::uint64_t long_latency = 0;
-    std::uint64_t spin_ups = 0;
-    double latency_s = 0.0;
   } snapshot;
 
-  Impl(const LiveSource& source, const PolicySpec& spec,
+  Impl(const LiveSource& source, const std::vector<GroupMember>& group,
        const EngineConfig& cfg)
-      : policy(spec), config(cfg), meter(cfg.joint.mem, 0, 0.0),
-        last_disk_finish(0.0) {
+      : config(cfg), dynamic_meter(cfg.joint.mem, 0, 0.0) {
     JPM_CHECK_MSG(source.total_pages > 0,
                   "a live source must declare its data-set size");
     // Checked before anything per-page is built. Bad input, so a named
@@ -124,7 +183,7 @@ struct Engine::Impl {
     }
     duration_s = source.duration_hint_s;
     total_pages = source.total_pages;
-    init(source.page_bytes);
+    init(source.page_bytes, group);
   }
 
   // Rejects configurations that would silently corrupt the run. Uses
@@ -160,13 +219,13 @@ struct Engine::Impl {
     fault::validate(config.fault);
   }
 
-  // A fresh instance of the run's disk timeout policy: the engine's own,
-  // then one per spindle of an array. Joint runs make one DynamicTimeout,
-  // which the manager retunes each period, and hand each spindle a
-  // SharedTimeout view of it.
-  std::unique_ptr<disk::TimeoutPolicy> make_timeout_policy() {
+  // A fresh instance of the member's disk timeout policy: its own, then one
+  // per spindle of an array. Joint runs make one DynamicTimeout, which the
+  // manager retunes each period, and hand each spindle a SharedTimeout view
+  // of it.
+  std::unique_ptr<disk::TimeoutPolicy> make_timeout_policy(Member& m) {
     const double break_even_s = config.joint.disk.break_even_s();
-    switch (policy.disk) {
+    switch (m.policy.disk) {
       case DiskPolicyKind::kTwoCompetitive:
         return std::make_unique<disk::FixedTimeout>(break_even_s);
       case DiskPolicyKind::kAdaptive:
@@ -176,11 +235,11 @@ struct Engine::Impl {
       case DiskPolicyKind::kAlwaysOn:
         return std::make_unique<disk::NeverTimeout>();
       case DiskPolicyKind::kJoint: {
-        if (dynamic_timeout != nullptr) {
-          return std::make_unique<disk::SharedTimeout>(dynamic_timeout);
+        if (m.dynamic_timeout != nullptr) {
+          return std::make_unique<disk::SharedTimeout>(m.dynamic_timeout);
         }
         auto dynamic = std::make_unique<disk::DynamicTimeout>(break_even_s);
-        dynamic_timeout = dynamic.get();
+        m.dynamic_timeout = dynamic.get();
         return dynamic;
       }
     }
@@ -188,7 +247,52 @@ struct Engine::Impl {
     return nullptr;
   }
 
-  void init(std::uint64_t page_bytes) {
+  // The member's storage backend: multi-speed disk, single spin-down disk,
+  // or a striped array with per-disk policy instances.
+  void build_disk(Member& m) {
+    const auto& jc = config.joint;
+    m.timeout_policy = make_timeout_policy(m);
+    if (m.policy.multi_speed) {
+      JPM_CHECK_MSG(config.disk_count == 1,
+                    "multi-speed arrays are not modeled");
+      m.disk = std::make_unique<disk::MultiSpeedDisk>(
+          disk::drpm_params(jc.disk), 0.0);
+    } else if (config.disk_count == 1) {
+      if (config.fault.disk_faults_active()) {
+        m.disk = std::make_unique<disk::SingleDiskStorage>(
+            jc.disk, m.timeout_policy.get(), 0.0, config.fault);
+      } else {
+        m.disk = std::make_unique<disk::SingleDiskStorage>(
+            jc.disk, m.timeout_policy.get(), 0.0);
+      }
+    } else {
+      disk::DiskArrayConfig array_cfg;
+      array_cfg.disk_count = config.disk_count;
+      array_cfg.stripe_bytes = config.stripe_bytes;
+      array_cfg.page_bytes = jc.page_bytes;
+      array_cfg.params = jc.disk;
+      array_cfg.fault = config.fault;
+      m.disk = std::make_unique<disk::DiskArray>(
+          array_cfg, [this, &m] { return make_timeout_policy(m); }, 0.0);
+    }
+  }
+
+  // The member's BankSet: an earlier member's with the same bank policy, or
+  // a new one.
+  mem::BankSet* bank_set(const Member& m, mem::BankPolicy policy) {
+    for (const Member& other : members) {
+      if (&other != &m && other.policy.mem == m.policy.mem) return other.banks;
+    }
+    const auto& jc = config.joint;
+    const auto bank_count =
+        static_cast<std::uint32_t>(jc.physical_bytes / jc.mem.bank_bytes);
+    banks.push_back(
+        std::make_unique<mem::BankSet>(bank_count, jc.mem, policy, 0.0));
+    if (policy == mem::BankPolicy::kDisable) disable_banks = banks.back().get();
+    return banks.back().get();
+  }
+
+  void init(std::uint64_t page_bytes, const std::vector<GroupMember>& group) {
     config.joint.page_bytes = page_bytes;
     validate_config();
     const auto& jc = config.joint;
@@ -201,74 +305,60 @@ struct Engine::Impl {
     JPM_CHECK_MSG(jc.physical_bytes % jc.mem.bank_bytes == 0,
                   "physical memory must be a whole number of banks");
 
-    timeout_policy = make_timeout_policy();
-    // Storage backend: multi-speed disk, single spin-down disk, or a
-    // striped array with per-disk policy instances.
-    if (policy.multi_speed) {
-      JPM_CHECK_MSG(config.disk_count == 1,
-                    "multi-speed arrays are not modeled");
-      disk = std::make_unique<disk::MultiSpeedDisk>(
-          disk::drpm_params(jc.disk), 0.0);
-    } else if (config.disk_count == 1) {
-      if (config.fault.disk_faults_active()) {
-        disk = std::make_unique<disk::SingleDiskStorage>(
-            jc.disk, timeout_policy.get(), 0.0, config.fault);
-      } else {
-        disk = std::make_unique<disk::SingleDiskStorage>(
-            jc.disk, timeout_policy.get(), 0.0);
+    JPM_CHECK_MSG(!group.empty(), "an engine needs at least one method");
+    for (const GroupMember& g : group) {
+      const PolicySpec& p = g.policy;
+      JPM_CHECK_MSG(p.joint_disk() == p.joint_memory(),
+                    "joint disk and joint memory policies must be used "
+                    "together");
+      if (p.mem == MemPolicyKind::kFixed) {
+        JPM_CHECK(p.fixed_bytes > 0 && p.fixed_bytes <= jc.physical_bytes);
       }
-    } else {
-      disk::DiskArrayConfig array_cfg;
-      array_cfg.disk_count = config.disk_count;
-      array_cfg.stripe_bytes = config.stripe_bytes;
-      array_cfg.page_bytes = jc.page_bytes;
-      array_cfg.params = jc.disk;
-      array_cfg.fault = config.fault;
-      disk = std::make_unique<disk::DiskArray>(
-          array_cfg, [this] { return make_timeout_policy(); }, 0.0);
+      JPM_CHECK_MSG(
+          &g == &group.front() ||
+              same_trajectory(group.front().policy, p, jc.physical_bytes),
+          "\"" << group.front().policy.name << "\" and \"" << p.name
+               << "\" do not share a cache trajectory");
+    }
+
+    members.reserve(group.size());
+    for (const GroupMember& g : group) {
+      std::uint64_t static_bytes = 0;
+      if (g.policy.mem == MemPolicyKind::kFixed) {
+        static_bytes = g.policy.fixed_bytes;
+      } else if (g.policy.joint_memory()) {
+        static_bytes = jc.physical_bytes;
+      }
+      Member& m = members.emplace_back(g, jc.mem, static_bytes);
+      build_disk(m);
+      switch (m.policy.mem) {
+        case MemPolicyKind::kNapAll:
+          m.banks = bank_set(m, mem::BankPolicy::kNapOnly);
+          break;
+        case MemPolicyKind::kPowerDown:
+          m.banks = bank_set(m, mem::BankPolicy::kPowerDown);
+          break;
+        case MemPolicyKind::kDisable:
+          m.banks = bank_set(m, mem::BankPolicy::kDisable);
+          break;
+        case MemPolicyKind::kFixed:
+        case MemPolicyKind::kJoint:
+          break;
+      }
     }
 
     // Cache sized to physical memory; logical capacity per the method.
+    const PolicySpec& lead = members.front().policy;
     const std::uint64_t total_frames = jc.physical_bytes / jc.page_bytes;
     const std::uint64_t frames_per_bank = jc.mem.bank_bytes / jc.page_bytes;
-    std::uint64_t capacity_frames = total_frames;
-    if (policy.mem == MemPolicyKind::kFixed) {
-      JPM_CHECK(policy.fixed_bytes > 0 &&
-                policy.fixed_bytes <= jc.physical_bytes);
-      capacity_frames = policy.fixed_bytes / jc.page_bytes;
-    }
+    const std::uint64_t capacity_frames =
+        lead.mem == MemPolicyKind::kFixed ? lead.fixed_bytes / jc.page_bytes
+                                          : total_frames;
     lru = std::make_unique<cache::LruCache>(
         cache::LruCacheOptions{total_frames, frames_per_bank, capacity_frames},
         &page_table);
 
-    // Memory static-energy accounting.
-    const auto bank_count =
-        static_cast<std::uint32_t>(jc.physical_bytes / jc.mem.bank_bytes);
-    switch (policy.mem) {
-      case MemPolicyKind::kFixed:
-        meter.set_size(policy.fixed_bytes, 0.0);
-        break;
-      case MemPolicyKind::kJoint:
-        meter.set_size(jc.physical_bytes, 0.0);
-        break;
-      case MemPolicyKind::kNapAll:
-        banks = std::make_unique<mem::BankSet>(
-            bank_count, jc.mem, mem::BankPolicy::kNapOnly, 0.0);
-        break;
-      case MemPolicyKind::kPowerDown:
-        banks = std::make_unique<mem::BankSet>(
-            bank_count, jc.mem, mem::BankPolicy::kPowerDown, 0.0);
-        break;
-      case MemPolicyKind::kDisable:
-        banks = std::make_unique<mem::BankSet>(
-            bank_count, jc.mem, mem::BankPolicy::kDisable, 0.0);
-        break;
-    }
-
-    if (policy.joint_disk() || policy.joint_memory()) {
-      JPM_CHECK_MSG(policy.joint_disk() && policy.joint_memory(),
-                    "joint disk and joint memory policies must be used "
-                    "together");
+    if (lead.is_joint()) {
       tracker = std::make_unique<cache::StackDistanceTracker>(&page_table);
       // The closed-loop guard only engages through an enabled fault plan;
       // otherwise the manager keeps the paper's open-loop behavior.
@@ -279,29 +369,55 @@ struct Engine::Impl {
       collector = std::make_unique<core::PeriodStatsCollector>(
           jc.unit_frames(), jc.max_units(), 0.0);
       current_units = manager->initial_memory_units();
-      dynamic_timeout->set_timeout(manager->initial_timeout_s());
+      members.front().dynamic_timeout->set_timeout(
+          manager->initial_timeout_s());
     } else {
       current_units = lru->capacity() / jc.unit_frames();
     }
     next_boundary = jc.period_s;
     next_flush = config.flush_interval_s;
-    metrics.policy_name = policy.name;
 
     if (config.prefill_cache) prefill();
   }
 
-  // Writes one dirty page back to disk. Background traffic: no user-visible
-  // latency, but it occupies and wakes the disk like any other access.
+  // Writes one dirty page back to every member's disk. Background traffic:
+  // no user-visible latency, but it occupies and wakes the disk like any
+  // other access.
+  void write_back_page(Member& m, double t, cache::PageId p) {
+    m.last_disk_finish =
+        m.disk->read(t, p, config.joint.page_bytes).finish_s;
+  }
   void write_back_page(double t, cache::PageId p) {
-    const auto res = disk->read(t, p, config.joint.page_bytes);
-    ++metrics.disk_writes;
-    last_disk_finish = res.finish_s;
+    ++disk_writes;
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      write_back_page(m, t, p);
+    }
   }
 
   // Writes the given dirty pages back to disk (ascending page order keeps
   // most of a flush burst sequential).
   void write_back(double t, const std::vector<cache::PageId>& pages) {
-    for (cache::PageId p : pages) write_back_page(t, p);
+    disk_writes += pages.size();
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      for (cache::PageId p : pages) write_back_page(m, t, p);
+    }
+  }
+
+  // Every bank set's touch. The guards are inline, so a group without bank
+  // policies pays one compare per access and the compiler sinks the
+  // frame-to-bank division behind it. Either branch is one call per
+  // access, so the hit path keeps `t` and the page in registers.
+  JPM_FORCE_INLINE void touch_banks(cache::BankIndex bank, double t) {
+    if (banks.size() == 1) {
+      banks.front()->touch(bank, t);
+    } else if (!banks.empty()) {
+      touch_bank_sets(bank, t);
+    }
+  }
+  JPM_NOINLINE void touch_bank_sets(cache::BankIndex bank, double t) {
+    for (const auto& set : banks) set->touch(bank, t);
   }
 
   // Starts the run from a warm server: the cache AND the extended LRU list
@@ -320,56 +436,66 @@ struct Engine::Impl {
   void take_snapshot(double t) {
     JPM_CHECK(!snapshot.taken);
     snapshot.taken = true;
-    meter.finalize(t);
-    snapshot.mem = meter.breakdown();
-    if (banks) {
-      banks->finalize(t);
-      snapshot.bank_static_j = banks->static_energy_j();
+    snapshot.dynamic_j = dynamic_meter.breakdown().dynamic_j;
+    snapshot.cache_accesses = cache_accesses;
+    snapshot.disk_accesses = disk_accesses;
+    snapshot.disk_writes = disk_writes;
+    snapshot.readahead = readahead_fetches;
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      m.meter.finalize(t);
+      m.snapshot.mem_static_j = m.meter.breakdown().static_j;
+      if (m.banks) {
+        m.banks->finalize(t);  // idempotent at one t for a shared set
+        m.snapshot.bank_static_j = m.banks->static_energy_j();
+      }
+      m.snapshot.disk = m.disk->energy_through(t);
+      m.snapshot.busy_s = m.disk->busy_time_s();
+      m.snapshot.shutdowns = m.disk->shutdowns();
+      m.snapshot.long_latency = m.metrics.long_latency_count;
+      m.snapshot.spin_ups = m.metrics.spin_ups;
+      m.snapshot.latency_s = m.metrics.total_latency_s;
     }
-    snapshot.disk = disk->energy_through(t);
-    snapshot.busy_s = disk->busy_time_s();
-    snapshot.shutdowns = disk->shutdowns();
-    snapshot.cache_accesses = metrics.cache_accesses;
-    snapshot.disk_accesses = metrics.disk_accesses;
-    snapshot.disk_writes = metrics.disk_writes;
-    snapshot.readahead = metrics.readahead_fetches;
-    snapshot.long_latency = metrics.long_latency_count;
-    snapshot.spin_ups = metrics.spin_ups;
-    snapshot.latency_s = metrics.total_latency_s;
   }
 
   // ---- period bookkeeping -------------------------------------------------
+
+  // The member's memory energy so far: its static view plus the group's
+  // dynamic energy.
+  mem::MemoryEnergyBreakdown memory_energy(const Member& m) const {
+    return {m.meter.breakdown().static_j, dynamic_meter.breakdown().dynamic_j};
+  }
 
   // Cumulative realized energy through t (memory + disk + banks). Only
   // called with telemetry enabled: the extra mid-run integrations can move
   // the final energy sums by an ulp, which is invisible in reported output
   // but would break the disabled-mode byte-identical guarantee.
-  double telem_energy_through(double t) {
-    meter.finalize(t);
-    double j = meter.breakdown().total_j() + disk->energy_through(t).total_j();
-    if (banks) {
-      banks->finalize(t);
-      j += banks->static_energy_j();
+  double telem_energy_through(Member& m, double t) {
+    m.meter.finalize(t);
+    double j = memory_energy(m).total_j() + m.disk->energy_through(t).total_j();
+    if (m.banks) {
+      m.banks->finalize(t);
+      j += m.banks->static_energy_j();
     }
     return j;
   }
 
-  void close_period(double boundary) {
-    if (telem_periods != nullptr) {
+  void close_period(Member& m, double boundary) {
+    const double mean_idle =
+        m.period_gap_count == 0
+            ? 0.0
+            : m.period_gap_sum / static_cast<double>(m.period_gap_count);
+    if (m.telem_periods != nullptr) {
       const double realized_j =
-          telem_energy_through(boundary) - telem_prev_energy_j;
-      telem_prev_energy_j += realized_j;
-      const double mean_idle =
-          period_gap_count == 0
-              ? 0.0
-              : period_gap_sum / static_cast<double>(period_gap_count);
-      telem_periods->add_row(
+          telem_energy_through(m, boundary) - m.telem_prev_energy_j;
+      m.telem_prev_energy_j += realized_j;
+      m.telem_periods->add_row(
           {period_start, boundary,
            static_cast<double>(period_cache_accesses),
            static_cast<double>(period_disk_accesses), mean_idle,
-           static_cast<double>(current_units), timeout_policy->timeout_s(),
-           disk->busy_time_s() - period_busy_start_s,
-           static_cast<double>(period_delayed_requests), realized_j});
+           static_cast<double>(current_units), m.timeout_policy->timeout_s(),
+           m.disk->busy_time_s() - m.period_busy_start_s,
+           static_cast<double>(m.period_delayed_requests), realized_j});
       TELEM_EVENT(kEngine, "period_close", boundary,
                   {"disk_accesses", static_cast<double>(period_disk_accesses)},
                   {"realized_j", realized_j});
@@ -380,51 +506,62 @@ struct Engine::Impl {
       rec.end_s = boundary;
       rec.cache_accesses = period_cache_accesses;
       rec.disk_accesses = period_disk_accesses;
-      rec.mean_idle_s = period_gap_count == 0
-                            ? 0.0
-                            : period_gap_sum /
-                                  static_cast<double>(period_gap_count);
+      rec.mean_idle_s = mean_idle;
       rec.memory_units = current_units;
-      rec.timeout_s = timeout_policy->timeout_s();
-      rec.busy_s = disk->busy_time_s() - period_busy_start_s;
-      rec.delayed_requests = period_delayed_requests;
+      rec.timeout_s = m.timeout_policy->timeout_s();
+      rec.busy_s = m.disk->busy_time_s() - m.period_busy_start_s;
+      rec.delayed_requests = m.period_delayed_requests;
       rec.shed_events = period_shed_events;
       rec.degraded = period_shed_events > 0 || forced_fallback;
-      metrics.periods.push_back(rec);
+      m.metrics.periods.push_back(rec);
+    }
+    m.period_gap_sum = 0.0;
+    m.period_gap_count = 0;
+    m.period_busy_start_s = m.disk->busy_time_s();
+    m.period_delayed_requests = 0;
+  }
+
+  // Every member's period closes at `boundary`; then the next one starts.
+  void close_periods(double boundary) {
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      close_period(m, boundary);
     }
     period_start = boundary;
     period_cache_accesses = 0;
     period_disk_accesses = 0;
-    period_gap_sum = 0.0;
-    period_gap_count = 0;
-    period_busy_start_s = disk->busy_time_s();
-    period_delayed_requests = 0;
     period_shed_events = 0;
   }
 
-  void handle_boundary(double boundary) {
-    disk->advance(boundary);
-    if (manager) {
-      core::PeriodStats stats = collector->harvest(boundary);
-      const core::JointDecision& d = manager->on_period_end(stats);
-      collector->recycle(std::move(stats));
-      const std::uint64_t frames =
-          d.memory_units * config.joint.unit_frames();
-      dirty_scratch.clear();
-      lru->set_capacity(std::max<std::uint64_t>(frames, 1), &dirty_scratch);
-      write_back(boundary, dirty_scratch);
-      meter.set_size(d.memory_bytes, boundary);
-      dynamic_timeout->set_timeout(d.timeout_s);
-      current_units = d.memory_units;
-      TELEM_EVENT(kManager, "decision_applied", boundary,
-                  {"memory_units", static_cast<double>(d.memory_units)},
-                  {"timeout_s", d.timeout_s});
-      if (telem != nullptr) {
-        telem->gauge("memory_units")
-            .set(static_cast<double>(d.memory_units));
-      }
+  // The joint manager's period-end decision: memory size and disk timeout.
+  void apply_decision(double boundary) {
+    Member& m = members.front();
+    const MemberScope scope(m);
+    core::PeriodStats stats = collector->harvest(boundary);
+    const core::JointDecision& d = manager->on_period_end(stats);
+    collector->recycle(std::move(stats));
+    const std::uint64_t frames = d.memory_units * config.joint.unit_frames();
+    dirty_scratch.clear();
+    lru->set_capacity(std::max<std::uint64_t>(frames, 1), &dirty_scratch);
+    write_back(boundary, dirty_scratch);
+    m.meter.set_size(d.memory_bytes, boundary);
+    m.dynamic_timeout->set_timeout(d.timeout_s);
+    current_units = d.memory_units;
+    TELEM_EVENT(kManager, "decision_applied", boundary,
+                {"memory_units", static_cast<double>(d.memory_units)},
+                {"timeout_s", d.timeout_s});
+    if (m.telem != nullptr) {
+      m.telem->gauge("memory_units").set(static_cast<double>(d.memory_units));
     }
-    close_period(boundary);
+  }
+
+  void handle_boundary(double boundary) {
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      m.disk->advance(boundary);
+    }
+    if (manager) apply_decision(boundary);
+    close_periods(boundary);
   }
 
   // Handles every timer edge due at or before t in time order: period
@@ -466,20 +603,14 @@ struct Engine::Impl {
   // the page for every consumer — the stack-distance update reads/writes
   // the entry's `slot` half and the residency check reads its `frame` half.
   // The resident hit is the per-event steady state of a run and stays
-  // inline; the miss tail is out of line so the loop's code stays small.
+  // inline, with no per-member work; the miss tail is out of line so the
+  // loop's code stays small.
   void step_event(double t, std::uint64_t page, bool is_write) {
     if (page >= total_pages) [[unlikely]] reject_page(page);
     advance_timers(t);
-    ++metrics.cache_accesses;
+    ++cache_accesses;
     ++period_cache_accesses;
-    // A telemetry session records spin-down markers the moment a timeout
-    // expires; advance the disk per event in that mode so those markers
-    // land in the event stream in simulated-time order (session-wide, not
-    // per-run: TELEM_EVENT fires even on threads outside any ScopedRun).
-    // Metrics never need it: spin-downs are stamped at their expiry time
-    // and every state read (read(), energy_through(), finalize()) advances
-    // internally first.
-    if (telemetry::enabled()) disk->advance(t);
+    if (telemetry::enabled()) advance_disks(t);
     cache::PageEntry* entry = page_table.find_or_insert(page);
     if (tracker) {
       const std::uint64_t depth = tracker->access_at(*entry);
@@ -490,18 +621,62 @@ struct Engine::Impl {
 
     if (entry->frame != cache::kNoFrame) {
       const auto outcome = lru->touch(entry->frame);
-      meter.on_transfer(config.joint.page_bytes);
+      dynamic_meter.on_transfer(config.joint.page_bytes);
       if (is_write) lru->mark_dirty_frame(entry->frame);
-      if (banks) banks->touch(outcome.bank, t);
+      touch_banks(outcome.bank, t);
       return;
     }
 
     access_miss(t, page, is_write);
   }
 
+  // A telemetry session records spin-down markers the moment a timeout
+  // expires; step_event advances the disks per event in that mode so those
+  // markers land in the event stream in simulated-time order
+  // (session-wide, not per-run: TELEM_EVENT fires even on threads outside
+  // any ScopedRun). Metrics never need it: spin-downs are stamped at their
+  // expiry time and every state read (read(), energy_through(),
+  // finalize()) advances internally first. Out of line, so the hit path
+  // does not carry the member loop.
+  JPM_NOINLINE void advance_disks(double t) {
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      m.disk->advance(t);
+    }
+  }
+
+  // One member's disk half of a read miss: the fetch, plus the latency,
+  // spin-up and idle bookkeeping only miss events carry.
+  void read_miss(Member& m, double t, std::uint64_t page) {
+    const auto res = m.disk->read(t, page, config.joint.page_bytes);
+    if (res.triggered_spin_up) {
+      ++m.metrics.spin_ups;
+      ++m.period_delayed_requests;
+    }
+    m.metrics.total_latency_s += res.latency_s;
+    if (res.latency_s > config.long_latency_threshold_s) {
+      ++m.metrics.long_latency_count;
+    }
+    if (m.telem != nullptr) {
+      m.telem_latency->add(res.latency_s);
+      if (res.triggered_spin_up) m.telem_spinup->add(res.latency_s);
+    }
+    if (collector) {
+      collector->on_disk_access(res.finish_s - res.start_s,
+                                /*delayed=*/res.triggered_spin_up);
+    }
+
+    const double gap = t - m.last_disk_finish;
+    if (m.telem != nullptr && gap > 0.0) m.telem_idle->add(gap);
+    if (gap >= config.joint.window_s) {
+      m.period_gap_sum += gap;
+      ++m.period_gap_count;
+    }
+    m.last_disk_finish = res.finish_s;
+  }
+
   // The non-resident tail of step_event: write-allocate or disk read plus
-  // install, readahead, and the latency/idle bookkeeping that only miss
-  // events carry.
+  // install, and readahead.
   void access_miss(double t, std::uint64_t page, bool is_write) {
     const std::uint64_t page_bytes = config.joint.page_bytes;
     if (is_write) {
@@ -512,61 +687,41 @@ struct Engine::Impl {
         write_back_page(t, placed.evicted_page);
       }
       lru->mark_dirty_frame(placed.frame);
-      meter.on_transfer(page_bytes);
-      if (banks) banks->touch(placed.bank, t);
+      dynamic_meter.on_transfer(page_bytes);
+      touch_banks(placed.bank, t);
       return;
     }
 
     // Read miss: fetch the page from disk, then install it.
-    const auto res = disk->read(t, page, page_bytes);
-    ++metrics.disk_accesses;
+    ++disk_accesses;
     ++period_disk_accesses;
-    if (res.triggered_spin_up) {
-      ++metrics.spin_ups;
-      ++period_delayed_requests;
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      read_miss(m, t, page);
     }
-    metrics.total_latency_s += res.latency_s;
-    if (res.latency_s > config.long_latency_threshold_s) {
-      ++metrics.long_latency_count;
-    }
-    if (telem != nullptr) {
-      telem_latency->add(res.latency_s);
-      if (res.triggered_spin_up) telem_spinup->add(res.latency_s);
-    }
-    if (collector) {
-      collector->on_disk_access(res.finish_s - res.start_s,
-                                /*delayed=*/res.triggered_spin_up);
-    }
-
-    const double gap = t - last_disk_finish;
-    if (telem != nullptr && gap > 0.0) telem_idle->add(gap);
-    if (gap >= config.joint.window_s) {
-      period_gap_sum += gap;
-      ++period_gap_count;
-    }
-    last_disk_finish = res.finish_s;
-
     const auto placed = lru->insert(page);
     if (placed.evicted && placed.evicted_dirty) {
       write_back_page(t, placed.evicted_page);
     }
-    meter.on_transfer(2 * page_bytes);  // fill + serve
-    if (banks) banks->touch(placed.bank, t);
+    dynamic_meter.on_transfer(2 * page_bytes);  // fill + serve
+    touch_banks(placed.bank, t);
 
     // Sequential readahead rides the same disk operation.
     for (std::uint32_t k = 1; k <= config.readahead_pages; ++k) {
       const std::uint64_t next_page = page + k;
       if (next_page >= total_pages) break;
       if (lru->contains(next_page)) break;  // run already cached
-      const auto ra = disk->read(t, next_page, page_bytes);
-      ++metrics.readahead_fetches;
-      last_disk_finish = ra.finish_s;
+      ++readahead_fetches;
+      for (Member& m : members) {
+        const MemberScope scope(m);
+        m.last_disk_finish = m.disk->read(t, next_page, page_bytes).finish_s;
+      }
       const auto ra_placed = lru->insert(next_page);
       if (ra_placed.evicted && ra_placed.evicted_dirty) {
         write_back_page(t, ra_placed.evicted_page);
       }
-      meter.on_transfer(page_bytes);
-      if (banks) banks->touch(ra_placed.bank, t);
+      dynamic_meter.on_transfer(page_bytes);
+      touch_banks(ra_placed.bank, t);
     }
   }
 
@@ -576,43 +731,123 @@ struct Engine::Impl {
   // an access. Each half costs one compare when nothing is due.
   void advance_timers(double t) {
     if (t >= next_edge) process_edges_until(t);
-    if (banks && t >= banks->next_disable_s()) {
-      banks->take_due_disables(t, &disable_scratch);
-      for (const auto& d : disable_scratch) {
-        dirty_scratch.clear();
-        lru->invalidate_bank(d.bank, &dirty_scratch);
-        write_back(t, dirty_scratch);
-      }
+    if (disable_banks && t >= disable_banks->next_disable_s()) {
+      drop_disabled_banks(t);
     }
   }
 
-  // Binds telemetry and emits the run_begin marker, lazily at the first
-  // push, advance or finish. Idempotent.
+  // DS: the banks whose disable fired by t lose their pages; dirty ones
+  // are written back first.
+  JPM_NOINLINE void drop_disabled_banks(double t) {
+    disable_banks->take_due_disables(t, &disable_scratch);
+    for (const auto& d : disable_scratch) {
+      dirty_scratch.clear();
+      lru->invalidate_bank(d.bank, &dirty_scratch);
+      write_back(t, dirty_scratch);
+    }
+  }
+
+  // Binds telemetry and emits each member's run_begin marker, lazily at the
+  // first push, advance or finish. Idempotent.
   void begin_once() {
     if (started) return;
     started = true;
-    telem = telemetry::current_run();
-    if (telem != nullptr) {
-      telem_periods = &telem->table(
+    telemetry::RunRecorder* const current = telemetry::current_run();
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      Member& m = members[a];
+      m.telem = m.given_run != nullptr ? m.given_run : current;
+      m.rebind = m.telem != current;
+      for (std::size_t b = 0; b < a; ++b) {
+        JPM_CHECK_MSG(m.telem == nullptr || members[b].telem != m.telem,
+                      "\"" << members[b].policy.name << "\" and \""
+                           << m.policy.name
+                           << "\" would record into one telemetry run");
+      }
+    }
+    for (Member& m : members) {
+      if (m.telem == nullptr) continue;
+      const MemberScope scope(m);
+      m.telem_periods = &m.telem->table(
           "periods",
           {"start_s", "end_s", "cache_accesses", "disk_accesses",
            "mean_idle_s", "memory_units", "timeout_s", "busy_s",
            "delayed_requests", "realized_j"});
-      telem_idle =
-          &telem->histogram("idle_interval_s", telemetry::buckets::idle_seconds());
-      telem_latency = &telem->histogram("read_latency_s",
-                                        telemetry::buckets::latency_seconds());
-      telem_spinup = &telem->histogram("spinup_wait_s",
-                                       telemetry::buckets::spinup_seconds());
+      m.telem_idle = &m.telem->histogram("idle_interval_s",
+                                         telemetry::buckets::idle_seconds());
+      m.telem_latency = &m.telem->histogram(
+          "read_latency_s", telemetry::buckets::latency_seconds());
+      m.telem_spinup = &m.telem->histogram(
+          "spinup_wait_s", telemetry::buckets::spinup_seconds());
       TELEM_EVENT(kEngine, "run_begin", 0.0, {"duration_s", duration_s},
                   {"warm_up_s", config.warm_up_s},
                   {"disk_count", static_cast<double>(config.disk_count)});
     }
   }
 
+  // One member's totals at `end`, after warm-up subtraction.
+  RunMetrics finish_member(Member& m, double end) {
+    m.disk->finalize(end);
+    m.meter.finalize(end);
+    if (m.banks) m.banks->finalize(end);  // idempotent at one t
+
+    RunMetrics& metrics = m.metrics;
+    metrics.duration_s = end - config.warm_up_s;
+    metrics.spindle_count = m.disk->spindle_count();
+    metrics.disk_energy = m.disk->energy();
+    metrics.mem_energy = memory_energy(m);
+    if (m.banks) metrics.mem_energy.static_j += m.banks->static_energy_j();
+    metrics.disk_busy_s = m.disk->busy_time_s();
+    metrics.disk_shutdowns = m.disk->shutdowns();
+    metrics.cache_accesses = cache_accesses;
+    metrics.disk_accesses = disk_accesses;
+    metrics.disk_writes = disk_writes;
+    metrics.readahead_fetches = readahead_fetches;
+    // Reliability covers the whole run (warm-up included): a degraded
+    // spindle stays degraded across the warm-up boundary, so subtracting a
+    // snapshot would misstate the counters.
+    metrics.reliability = m.disk->reliability();
+    if (manager) metrics.reliability.merge(manager->reliability());
+
+    // Subtract the warm-up window.
+    const Member::Snapshot& own = m.snapshot;
+    metrics.mem_energy.static_j -= own.mem_static_j + own.bank_static_j;
+    metrics.mem_energy.dynamic_j -= snapshot.dynamic_j;
+    metrics.disk_energy.standby_base_j -= own.disk.standby_base_j;
+    metrics.disk_energy.static_j -= own.disk.static_j;
+    metrics.disk_energy.transition_j -= own.disk.transition_j;
+    metrics.disk_energy.dynamic_j -= own.disk.dynamic_j;
+    metrics.disk_busy_s -= own.busy_s;
+    metrics.disk_shutdowns -= own.shutdowns;
+    metrics.cache_accesses -= snapshot.cache_accesses;
+    metrics.disk_accesses -= snapshot.disk_accesses;
+    metrics.disk_writes -= snapshot.disk_writes;
+    metrics.readahead_fetches -= snapshot.readahead;
+    metrics.long_latency_count -= own.long_latency;
+    metrics.spin_ups -= own.spin_ups;
+    metrics.total_latency_s -= own.latency_s;
+
+    if (m.telem != nullptr) {
+      // Measured-window totals, after warm-up subtraction.
+      m.telem->counter("cache_accesses").add(metrics.cache_accesses);
+      m.telem->counter("disk_accesses").add(metrics.disk_accesses);
+      m.telem->counter("disk_writes").add(metrics.disk_writes);
+      m.telem->counter("spin_ups").add(metrics.spin_ups);
+      m.telem->counter("disk_shutdowns").add(metrics.disk_shutdowns);
+      m.telem->counter("long_latency").add(metrics.long_latency_count);
+      TELEM_EVENT(kEngine, "run_end", end,
+                  {"mem_j", metrics.mem_energy.total_j()},
+                  {"disk_j", metrics.disk_energy.total_j()},
+                  {"total_latency_s", metrics.total_latency_s});
+    }
+    // The metrics outlive the engine (a fleet sweep holds 10^5 of them), so
+    // the period records leave at their size, not their grown capacity.
+    metrics.periods.shrink_to_fit();
+    return std::move(metrics);
+  }
+
   // Close out the run at `end`: final boundaries and flushes, the shutdown
-  // writeback, the last period, warm-up subtraction, and the metric totals.
-  RunMetrics finish_run(double end) {
+  // writeback, the last period, then every member's totals.
+  std::vector<RunMetrics> finish_run(double end) {
     finished = true;
     JPM_CHECK_MSG(config.warm_up_s < end,
                   "warm-up must be shorter than the run");
@@ -620,56 +855,14 @@ struct Engine::Impl {
     // Shutdown flush: no dirty page outlives the run.
     lru->take_dirty_pages(&dirty_scratch);
     write_back(end, dirty_scratch);
-    if (period_start < end) close_period(end);
-    disk->finalize(end);
-    meter.finalize(end);
-    if (banks) banks->finalize(end);
-
-    metrics.duration_s = end - config.warm_up_s;
-    metrics.spindle_count = disk->spindle_count();
-    metrics.disk_energy = disk->energy();
-    metrics.mem_energy = meter.breakdown();
-    if (banks) metrics.mem_energy.static_j += banks->static_energy_j();
-    metrics.disk_busy_s = disk->busy_time_s();
-    metrics.disk_shutdowns = disk->shutdowns();
-    // Reliability covers the whole run (warm-up included): a degraded
-    // spindle stays degraded across the warm-up boundary, so subtracting a
-    // snapshot would misstate the counters.
-    metrics.reliability = disk->reliability();
-    if (manager) metrics.reliability.merge(manager->reliability());
-
-    // Subtract the warm-up window.
-    metrics.mem_energy.static_j -=
-        snapshot.mem.static_j + snapshot.bank_static_j;
-    metrics.mem_energy.dynamic_j -= snapshot.mem.dynamic_j;
-    metrics.disk_energy.standby_base_j -= snapshot.disk.standby_base_j;
-    metrics.disk_energy.static_j -= snapshot.disk.static_j;
-    metrics.disk_energy.transition_j -= snapshot.disk.transition_j;
-    metrics.disk_energy.dynamic_j -= snapshot.disk.dynamic_j;
-    metrics.disk_busy_s -= snapshot.busy_s;
-    metrics.disk_shutdowns -= snapshot.shutdowns;
-    metrics.cache_accesses -= snapshot.cache_accesses;
-    metrics.disk_accesses -= snapshot.disk_accesses;
-    metrics.disk_writes -= snapshot.disk_writes;
-    metrics.readahead_fetches -= snapshot.readahead;
-    metrics.long_latency_count -= snapshot.long_latency;
-    metrics.spin_ups -= snapshot.spin_ups;
-    metrics.total_latency_s -= snapshot.latency_s;
-
-    if (telem != nullptr) {
-      // Measured-window totals, after warm-up subtraction.
-      telem->counter("cache_accesses").add(metrics.cache_accesses);
-      telem->counter("disk_accesses").add(metrics.disk_accesses);
-      telem->counter("disk_writes").add(metrics.disk_writes);
-      telem->counter("spin_ups").add(metrics.spin_ups);
-      telem->counter("disk_shutdowns").add(metrics.disk_shutdowns);
-      telem->counter("long_latency").add(metrics.long_latency_count);
-      TELEM_EVENT(kEngine, "run_end", end,
-                  {"mem_j", metrics.mem_energy.total_j()},
-                  {"disk_j", metrics.disk_energy.total_j()},
-                  {"total_latency_s", metrics.total_latency_s});
+    if (period_start < end) close_periods(end);
+    std::vector<RunMetrics> out;
+    out.reserve(members.size());
+    for (Member& m : members) {
+      const MemberScope scope(m);
+      out.push_back(finish_member(m, end));
     }
-    return metrics;
+    return out;
   }
 
   // ---- push interface (see engine.h) --------------------------------------
@@ -700,7 +893,7 @@ struct Engine::Impl {
     if (manager) manager->set_forced_fallback(on);
   }
 
-  RunMetrics finish(double end) {
+  std::vector<RunMetrics> finish(double end) {
     JPM_CHECK_MSG(!finished, "Engine::finish is single-shot");
     begin_once();
     return finish_run(end);
@@ -709,7 +902,11 @@ struct Engine::Impl {
 
 Engine::Engine(const LiveSource& source, const PolicySpec& policy,
                const EngineConfig& config)
-    : impl_(std::make_unique<Impl>(source, policy, config)) {}
+    : Engine(source, std::vector<GroupMember>{{policy, nullptr}}, config) {}
+Engine::Engine(const LiveSource& source,
+               const std::vector<GroupMember>& members,
+               const EngineConfig& config)
+    : impl_(std::make_unique<Impl>(source, members, config)) {}
 Engine::~Engine() = default;
 
 void Engine::push_chunk(const double* times, const std::uint64_t* pages,
@@ -723,7 +920,14 @@ void Engine::set_forced_fallback(bool on) { impl_->set_forced_fallback(on); }
 void Engine::note_shed(std::uint64_t events) {
   impl_->period_shed_events += events;
 }
-RunMetrics Engine::finish(double end_s) { return impl_->finish(end_s); }
+RunMetrics Engine::finish(double end_s) {
+  JPM_CHECK_MSG(impl_->members.size() == 1,
+                "a trajectory group finishes with finish_group");
+  return std::move(impl_->finish(end_s).front());
+}
+std::vector<RunMetrics> Engine::finish_group(double end_s) {
+  return impl_->finish(end_s);
+}
 
 RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
                           const PolicySpec& policy,
@@ -753,11 +957,17 @@ RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy,
                           const EngineConfig& config) {
+  return std::move(run_simulation(trace, {{policy, nullptr}}, config).front());
+}
+
+std::vector<RunMetrics> run_simulation(const workload::Trace& trace,
+                                       const std::vector<GroupMember>& members,
+                                       const EngineConfig& config) {
   JPM_CHECK_MSG(!trace.empty(), "replay trace is empty");
   // Branchless validation scan (accumulate, check once): a per-element
   // CHECK's early-exit branch kept the compiler from vectorizing what is
   // otherwise a pure ordered reduction over the whole trace — and this scan
-  // runs per replay, which a sweep repeats per policy.
+  // runs per replay, which a sweep repeats per trajectory group.
   const double* times = trace.times.data();
   const std::size_t count = trace.size();
   // >= (not !<) so a NaN timestamp fails the scan.
@@ -781,15 +991,22 @@ RunMetrics run_simulation(const workload::Trace& trace,
   // pages follow); the run still closes its books at the declared duration.
   LiveSource source{trace.page_bytes, trace.total_pages, trace.duration_s};
   if (source.total_pages == 0) {
-    source.total_pages =
-        *std::max_element(trace.pages.begin(), trace.pages.end()) + 1;
+    const std::uint64_t last =
+        *std::max_element(trace.pages.begin(), trace.pages.end());
+    if (last == std::numeric_limits<std::uint64_t>::max()) {
+      throw std::invalid_argument(
+          "event page " + std::to_string(last) +
+          " leaves no data-set size to derive (page + 1 overflows); declare "
+          "total_pages");
+    }
+    source.total_pages = last + 1;
   }
   if (source.duration_hint_s == 0.0) {
     source.duration_hint_s = trace.times.back();
   }
-  Engine engine(source, policy, config);
+  Engine engine(source, members, config);
   engine.push_chunk(times, trace.pages.data(), trace.flags.data(), count);
-  return engine.finish(source.duration_hint_s);
+  return engine.finish_group(source.duration_hint_s);
 }
 
 }  // namespace jpm::sim

@@ -4,12 +4,17 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "jpm/core/joint_power_manager.h"
 #include "jpm/fault/fault.h"
 #include "jpm/sim/metrics.h"
 #include "jpm/sim/policies.h"
 #include "jpm/workload/synthesizer.h"
+
+namespace jpm::telemetry {
+class RunRecorder;
+}  // namespace jpm::telemetry
 
 namespace jpm::sim {
 
@@ -62,12 +67,34 @@ struct LiveSource {
   double duration_hint_s = 0.0;
 };
 
+// One method of a trajectory group: its policy and the telemetry run its
+// events go to. A null run means the run bound to the thread when the
+// engine starts, which is what a one-method engine uses.
+struct GroupMember {
+  PolicySpec policy;
+  telemetry::RunRecorder* telemetry = nullptr;
+};
+
+// An engine drives one cache trajectory (page table, LRU, dirty, flush and
+// readahead logic, bank sets) for one or more members: methods that obey
+// sim::same_trajectory, so the cache contents are the same for all of them.
+// Each member keeps its own disk half (timeout policy, Storage, latency,
+// idle and period bookkeeping), its own static memory view and its own
+// RunMetrics, bit-identical to a one-method engine running it alone. The
+// cache half counts accesses, misses, write-backs and readahead, and sums
+// dynamic memory energy, once for all members.
 class Engine {
  public:
   // A source declaring more than 2^32 pages is rejected with
   // std::invalid_argument naming the count, before any per-page state is
   // allocated.
   Engine(const LiveSource& source, const PolicySpec& policy,
+         const EngineConfig& config);
+  // A trajectory group. Members breaking the trajectory rule fail a
+  // JPM_CHECK. While a telemetry session is active, each member's events
+  // land in its own run, in the order a one-method engine would record
+  // them; no two members may record into the same run.
+  Engine(const LiveSource& source, const std::vector<GroupMember>& members,
          const EngineConfig& config);
   ~Engine();
 
@@ -91,8 +118,10 @@ class Engine {
   void set_forced_fallback(bool on);
   void note_shed(std::uint64_t events);
   // Closes the run at `end_s` (drain flushes, close the final period) and
-  // returns the metrics. Single-shot.
+  // returns the metrics of a one-method engine. Single-shot.
   RunMetrics finish(double end_s);
+  // The same for a group: one RunMetrics per member, in member order.
+  std::vector<RunMetrics> finish_group(double end_s);
 
  private:
   struct Impl;
@@ -107,10 +136,16 @@ RunMetrics run_simulation(const workload::SynthesizerConfig& workload,
 // Replays a shared immutable trace without copying it; any number of runs
 // may replay the same Trace concurrently. The trace must be nonempty and
 // time-sorted (CheckError otherwise); a zero total_pages derives
-// max(page) + 1 and a zero duration the last event's timestamp. Metrics are
-// bit-identical to the synthesizing form when the trace came from
-// workload::synthesize_trace of the same config.
+// max(page) + 1 (std::invalid_argument when that overflows) and a zero
+// duration the last event's timestamp. Metrics are bit-identical to the
+// synthesizing form when the trace came from workload::synthesize_trace of
+// the same config.
 RunMetrics run_simulation(const workload::Trace& trace,
                           const PolicySpec& policy, const EngineConfig& config);
+// The same replay for a trajectory group: one RunMetrics per member, each
+// bit-identical to that member's own run_simulation.
+std::vector<RunMetrics> run_simulation(const workload::Trace& trace,
+                                       const std::vector<GroupMember>& members,
+                                       const EngineConfig& config);
 
 }  // namespace jpm::sim

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "jpm/sim/engine.h"
 #include "jpm/tracefile/reader.h"
@@ -27,6 +28,9 @@ class FileReplay {
   // whole sweep.
   FileReplay(const tracefile::TraceReader& reader, const PolicySpec& policy,
              const EngineConfig& config);
+  // A trajectory group replay (see Engine).
+  FileReplay(const tracefile::TraceReader& reader,
+             std::vector<GroupMember> members, const EngineConfig& config);
 
   // Constructs the engine from the file header (page_bytes, total_pages,
   // duration). Idempotent; push_chunk calls it on demand.
@@ -34,11 +38,13 @@ class FileReplay {
   // Decodes chunk i and pushes it into the engine. Chunks
   // must be fed in file order, each exactly once.
   void push_chunk(std::size_t i);
-  // Closes the run at the header's duration and returns the metrics.
-  // Single-shot, like Engine::finish().
-  RunMetrics finish_stream();
+  // Closes the run at the header's duration and returns one RunMetrics per
+  // member. Single-shot, like Engine::finish_group().
+  std::vector<RunMetrics> finish_stream();
 
   // begin + every chunk in order + finish.
+  std::vector<RunMetrics> run_group();
+  // run_group() of a one-method replay.
   RunMetrics run();
 
   // Peak decode-buffer capacity so far — the replay's working-set bound,
@@ -47,7 +53,7 @@ class FileReplay {
 
  private:
   const tracefile::TraceReader& reader_;
-  PolicySpec policy_;
+  std::vector<GroupMember> members_;
   EngineConfig config_;
   std::optional<Engine> engine_;
   workload::Trace buffer_;  // one decoded chunk window
@@ -57,5 +63,9 @@ class FileReplay {
 // Convenience: replay the whole file and return the metrics.
 RunMetrics replay_file(const tracefile::TraceReader& reader,
                        const PolicySpec& policy, const EngineConfig& config);
+// The same for a trajectory group: one RunMetrics per member.
+std::vector<RunMetrics> replay_file(const tracefile::TraceReader& reader,
+                                    const std::vector<GroupMember>& members,
+                                    const EngineConfig& config);
 
 }  // namespace jpm::sim

@@ -1,5 +1,6 @@
 #include "jpm/sim/policies.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "jpm/util/check.h"
@@ -81,6 +82,37 @@ std::vector<PolicySpec> paper_policies(
   }
   specs.push_back(always_on_policy());
   return specs;
+}
+
+bool same_trajectory(const PolicySpec& a, const PolicySpec& b,
+                     std::uint64_t physical_bytes) {
+  const auto closed_loop = [](const PolicySpec& p) {
+    return p.joint_disk() || p.joint_memory();
+  };
+  const auto capacity = [&](const PolicySpec& p) {
+    return p.mem == MemPolicyKind::kFixed ? p.fixed_bytes : physical_bytes;
+  };
+  const auto invalidates = [](const PolicySpec& p) {
+    return p.mem == MemPolicyKind::kDisable;
+  };
+  return !closed_loop(a) && !closed_loop(b) && capacity(a) == capacity(b) &&
+         invalidates(a) == invalidates(b);
+}
+
+std::vector<std::vector<std::size_t>> trajectory_groups(
+    const std::vector<PolicySpec>& roster, std::uint64_t physical_bytes) {
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t j = 0; j < roster.size(); ++j) {
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return same_trajectory(roster[g.front()], roster[j], physical_bytes);
+    });
+    if (it == groups.end()) {
+      groups.push_back({j});
+    } else {
+      it->push_back(j);
+    }
+  }
+  return groups;
 }
 
 }  // namespace jpm::sim

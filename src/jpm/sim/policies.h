@@ -8,8 +8,11 @@
 //           DS (timeout disable, 128 GB), always-on (all nap), or joint.
 // paper_policies() returns the paper's full 16-method roster: Joint,
 // 2TFM/ADFM at 8/16/32/64/128 GB, 2TPD/ADPD, 2TDS/ADDS, and Always-on.
+// trajectory_groups() splits a roster into the methods that can share one
+// cache simulation: the paper roster's 16 methods make 7 groups.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,5 +68,21 @@ PolicySpec drpm_joint_policy();
 std::vector<PolicySpec> paper_policies(
     std::uint64_t physical_bytes = 128 * kGiB,
     const std::vector<std::uint64_t>& fm_gib = {8, 16, 32, 64, 128});
+
+// The trajectory rule: whether two methods leave the same cache contents
+// after every event of any trace, so one LRU can serve both (a trajectory
+// group, see sim::Engine). The trace is open-loop and the disk policy only
+// consumes misses and write-backs, so that holds when the two methods have
+// the same LRU capacity (fixed_bytes for FM, `physical_bytes` for PD, DS and
+// always-on) and both invalidate banks (DS) or neither does. Disk kind and
+// multi_speed do not matter. A joint method never shares: its manager
+// resizes memory from what its disk did.
+bool same_trajectory(const PolicySpec& a, const PolicySpec& b,
+                     std::uint64_t physical_bytes);
+
+// Partitions roster indices into trajectory groups under same_trajectory.
+// Groups are ordered by their first member, and members keep roster order.
+std::vector<std::vector<std::size_t>> trajectory_groups(
+    const std::vector<PolicySpec>& roster, std::uint64_t physical_bytes);
 
 }  // namespace jpm::sim

@@ -1,5 +1,6 @@
 #include "jpm/sim/runner.h"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -128,19 +129,30 @@ std::vector<SweepPoint> run_sweep(
     }
   }
 
-  // Fan the independent policy runs out across cores (JPM_THREADS workers;
-  // 1 = serial). Each point's baseline run is scheduled first so its metrics
-  // are ready as early as possible; every task writes only its own
-  // preallocated outcome slot, keeping results in roster order and
-  // bit-identical to the serial path.
-  std::vector<std::pair<std::size_t, std::size_t>> jobs;
-  jobs.reserve(n_points * n_policies);
+  // Methods sharing a cache trajectory run as one engine (see
+  // sim::trajectory_groups): the paper roster's 16 runs per point are 7
+  // group jobs. The jobs fan out across cores (JPM_THREADS workers; 1 =
+  // serial), point-major, each point's baseline group first so its metrics
+  // are ready as early as possible. Every task writes only its members'
+  // preallocated outcome slots, keeping results in roster order and
+  // bit-identical to the serial path and to each method running alone.
+  std::vector<std::vector<std::size_t>> groups =
+      trajectory_groups(roster, config.joint.physical_bytes);
+  std::stable_partition(groups.begin(), groups.end(), [&](const auto& g) {
+    return std::find(g.begin(), g.end(), baseline_index) != g.end();
+  });
+  std::vector<std::pair<std::size_t, std::size_t>> jobs;  // (point, group)
+  jobs.reserve(n_points * groups.size());
   for (std::size_t i = 0; i < n_points; ++i) {
-    jobs.emplace_back(i, baseline_index);
-    for (std::size_t j = 0; j < n_policies; ++j) {
-      if (j != baseline_index) jobs.emplace_back(i, j);
-    }
+    for (std::size_t g = 0; g < groups.size(); ++g) jobs.emplace_back(i, g);
   }
+  // A method's progress line keeps its place in the per-method job order
+  // (point-major, each point's baseline first, then roster order).
+  const auto progress_slot = [&](std::size_t i, std::size_t j) {
+    const std::size_t within =
+        j == baseline_index ? 0 : (j < baseline_index ? j + 1 : j);
+    return i * n_policies + within;
+  };
   // Telemetry streams registered serially in structural order (point-major,
   // roster order) BEFORE the fan-out: stream ids — and therefore the report
   // — depend only on the sweep's shape, never on scheduling or JPM_THREADS.
@@ -160,23 +172,37 @@ std::vector<SweepPoint> run_sweep(
       }
     }
   }
-  OrderedProgress ordered(jobs.size(), progress);
+  const auto recorder = [&](std::size_t i, std::size_t j) {
+    return recorders.empty() ? nullptr : recorders[i * n_policies + j];
+  };
+  OrderedProgress ordered(n_points * n_policies, progress);
   util::parallel_for(jobs.size(), [&](std::size_t t) {
-    const auto [i, j] = jobs[t];
-    RunOutcome& outcome = points[i].outcomes[j];
-    const telemetry::ScopedRun scope(
-        recorders.empty() ? nullptr : recorders[i * n_policies + j]);
-    const telemetry::SpanTimer span(
-        "policy_run", points[i].label + "/" + roster[j].name);
-    outcome.metrics = readers[i] != nullptr
-                          ? replay_file(*readers[i], roster[j], config)
-                          : run_simulation(traces[i], roster[j], config);
-    if (progress) {  // only pay for formatting when a sink is attached
-      std::ostringstream os;
-      os << "[" << points[i].label << "] " << roster[j].name << ": total "
-         << outcome.metrics.total_j() / 1e3 << " kJ, "
-         << outcome.metrics.disk_accesses << " disk accesses";
-      ordered.emit(t, os.str());
+    const auto [i, g] = jobs[t];
+    const std::vector<std::size_t>& group = groups[g];
+    std::vector<GroupMember> members;
+    std::string names;
+    for (const std::size_t j : group) {
+      members.push_back({roster[j], recorder(i, j)});
+      names += (names.empty() ? "" : "+") + roster[j].name;
+    }
+    // The first member records through the thread's binding; the engine
+    // binds the others' runs around their own work.
+    const telemetry::ScopedRun scope(recorder(i, group.front()));
+    const telemetry::SpanTimer span("policy_run", points[i].label + "/" + names);
+    std::vector<RunMetrics> results =
+        readers[i] != nullptr ? replay_file(*readers[i], members, config)
+                              : run_simulation(traces[i], members, config);
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      const std::size_t j = group[k];
+      RunOutcome& outcome = points[i].outcomes[j];
+      outcome.metrics = std::move(results[k]);
+      if (progress) {  // only pay for formatting when a sink is attached
+        std::ostringstream os;
+        os << "[" << points[i].label << "] " << roster[j].name << ": total "
+           << outcome.metrics.total_j() / 1e3 << " kJ, "
+           << outcome.metrics.disk_accesses << " disk accesses";
+        ordered.emit(progress_slot(i, j), os.str());
+      }
     }
   });
 
@@ -188,7 +214,7 @@ std::vector<SweepPoint> run_sweep(
     }
   }
   TELEM_EVENT(kSweep, "sweep_end", 0.0,
-              {"runs", static_cast<double>(jobs.size())});
+              {"runs", static_cast<double>(n_points * n_policies)});
   return points;
 }
 

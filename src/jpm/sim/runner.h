@@ -75,12 +75,15 @@ struct SweepWorkload {
 // always-on entry, used as the normalization baseline. Each workload's trace
 // is synthesized (or mmap'd) once and shared read-only by all of its policy
 // runs; points sharing a workload model (workload::SharedModels) share its
-// popularity solve too. The runs fan out as stealable tasks (JPM_THREADS
-// workers, default hardware concurrency, 1 = serial) — results are
-// bit-identical regardless of worker count or which worker ran which task.
-// `progress` (optional) is invoked with a human-readable line per
-// run, serialized and in deterministic job order (point-major, each point's
-// baseline first) regardless of completion order.
+// popularity solve too. Methods sharing a cache trajectory
+// (sim::trajectory_groups) run as one engine, one job per (point, group).
+// The jobs fan out as stealable tasks (JPM_THREADS workers, default
+// hardware concurrency, 1 = serial) — results are bit-identical to each
+// method running alone, regardless of worker count or which worker ran
+// which task. `progress` (optional) is invoked with a human-readable line
+// per method, serialized and in deterministic order (point-major, each
+// point's baseline first, then roster order) regardless of completion
+// order.
 std::vector<SweepPoint> run_sweep(
     const std::vector<SweepWorkload>& workloads,
     const std::vector<PolicySpec>& roster, const EngineConfig& config,

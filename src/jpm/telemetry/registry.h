@@ -8,7 +8,10 @@
 // regardless of creation order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -73,8 +76,15 @@ std::vector<double> spinup_seconds();
 
 class RunRecorder {
  public:
-  RunRecorder(std::string name, std::uint32_t stream)
-      : name_(std::move(name)), stream_(stream) {}
+  // `event_capacity` is the session's ring capacity: the recorder keeps the
+  // stream's last that many events however often its thread's ring was
+  // flushed into it, so a run whose binding switches many times (a
+  // trajectory group member) records what one unbroken binding would.
+  RunRecorder(std::string name, std::uint32_t stream,
+              std::size_t event_capacity =
+                  std::numeric_limits<std::size_t>::max())
+      : name_(std::move(name)), stream_(stream),
+        event_capacity_(event_capacity) {}
 
   const std::string& name() const { return name_; }
   std::uint32_t stream() const { return stream_; }
@@ -109,7 +119,7 @@ class RunRecorder {
   const std::map<std::string, TableRecorder>& tables() const {
     return tables_;
   }
-  const std::vector<Event>& events() const { return events_; }
+  const std::deque<Event>& events() const { return events_; }
   std::uint64_t dropped_events() const { return dropped_events_; }
 
   // Ring-flush sink (telemetry.cc); callable directly for tests.
@@ -117,6 +127,9 @@ class RunRecorder {
                      std::uint64_t dropped) {
     events_.insert(events_.end(), events, events + n);
     dropped_events_ += dropped;
+    for (; events_.size() > event_capacity_; ++dropped_events_) {
+      events_.pop_front();
+    }
   }
 
  private:
@@ -126,7 +139,8 @@ class RunRecorder {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, BucketHistogram> histograms_;
   std::map<std::string, TableRecorder> tables_;
-  std::vector<Event> events_;
+  std::size_t event_capacity_;
+  std::deque<Event> events_;
   std::uint64_t dropped_events_ = 0;
 };
 

@@ -235,7 +235,8 @@ RunRecorder* begin_run(std::string name) {
   if (s == nullptr) return nullptr;
   const std::lock_guard<std::mutex> lock(s->mu);
   const auto stream = static_cast<std::uint32_t>(s->runs.size());
-  s->runs.push_back(std::make_unique<RunRecorder>(std::move(name), stream));
+  s->runs.push_back(std::make_unique<RunRecorder>(
+      std::move(name), stream, s->options.ring_capacity));
   return s->runs.back().get();
 }
 

@@ -30,13 +30,16 @@ namespace detail {
 
 }  // namespace jpm
 
-// Inlining override for per-event hot-path leaves whose call overhead and
-// scheduling opacity the optimizer's heuristics get wrong (measured, not
-// assumed — see DESIGN.md on the counter-tree descent).
+// Inlining overrides for per-event hot-path leaves whose call overhead and
+// scheduling opacity the optimizer's heuristics get wrong, and for rare
+// branches whose inlined body would crowd the hot path's registers
+// (measured, not assumed — see DESIGN.md on the counter-tree descent).
 #if defined(__GNUC__) || defined(__clang__)
 #define JPM_FORCE_INLINE inline __attribute__((always_inline))
+#define JPM_NOINLINE __attribute__((noinline))
 #else
 #define JPM_FORCE_INLINE inline
+#define JPM_NOINLINE
 #endif
 
 #define JPM_CHECK(expr)                                              \

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -404,6 +405,26 @@ TEST(EngineTest, ReplayRejectsBadTraces) {
     EXPECT_EQ(std::string(err.what()),
               "event page 100 is outside the data set: the source declares "
               "50 pages");
+  }
+}
+
+TEST(EngineTest, ReplayRejectsAPageLeavingNoDataSetSize) {
+  // No declared total_pages: the size derives as max(page) + 1, which
+  // overflows at the largest page id. The replay refuses it by name.
+  constexpr auto kStart = workload::kTraceFlagStart;
+  const std::uint64_t last = std::numeric_limits<std::uint64_t>::max();
+  try {
+    run_simulation(
+        test::make_trace({{1.0, 3, kStart}, {2.0, last, kStart}}, 64 * kKiB, 0),
+        fm(mib(128)), small_engine());
+    ADD_FAILURE() << "a page with no derivable data-set size was accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("page " + std::to_string(last)),
+              std::string::npos)
+        << err.what();
+    EXPECT_NE(std::string(err.what()).find("page + 1 overflows"),
+              std::string::npos)
+        << err.what();
   }
 }
 

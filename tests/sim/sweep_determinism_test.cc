@@ -1,8 +1,9 @@
 // Determinism suite for the parallel sweep runner: a multi-threaded
 // run_sweep must produce bit-identical RunMetrics to the serial legacy path
-// (JPM_THREADS=1), the shared-trace engine overload must be bit-identical to
-// the synthesizing one, and points sharing a workload model must match runs
-// that built their own.
+// (JPM_THREADS=1) and, for every method of a trajectory group, to that
+// method running alone; the shared-trace engine overload must be
+// bit-identical to the synthesizing one, and points sharing a workload model
+// must match runs that built their own.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "jpm/sim/runner.h"
+#include "sim/bit_identical.h"
 
 namespace jpm::sim {
 namespace {
@@ -51,61 +53,41 @@ std::vector<PolicySpec> six_policy_roster() {
           always_on_policy()};
 }
 
+// The paper's 16-method roster (Section V-A) scaled from 128 GB to 1 GB of
+// physical memory: FM at 64 MB to 1 GB, PD and DS over the whole 1 GB. Its
+// 16 methods make 7 trajectory groups.
+std::vector<PolicySpec> scaled_paper_roster() {
+  std::vector<PolicySpec> roster{joint_policy()};
+  for (const auto disk :
+       {DiskPolicyKind::kTwoCompetitive, DiskPolicyKind::kAdaptive}) {
+    const std::string prefix =
+        disk == DiskPolicyKind::kTwoCompetitive ? "2T" : "AD";
+    for (const std::uint64_t mb : {64, 128, 256, 512, 1024}) {
+      roster.push_back(fixed_policy(disk, mib(mb)));
+      roster.back().name = prefix + "FM-" + std::to_string(mb) + "MB";
+    }
+    roster.push_back(powerdown_policy(disk, gib(1)));
+    roster.push_back(disable_policy(disk, gib(1)));
+  }
+  roster.push_back(always_on_policy());
+  return roster;
+}
+
 std::vector<SweepWorkload> three_point_sweep() {
   return {{"128MB", point_workload(mib(128), 7), {}, {}},
           {"256MB", point_workload(mib(256), 8), {}, {}},
           {"512MB", point_workload(mib(512), 9), {}, {}}};
 }
 
-void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.policy_name, b.policy_name);
-  EXPECT_EQ(a.duration_s, b.duration_s);
-  EXPECT_EQ(a.mem_energy.static_j, b.mem_energy.static_j);
-  EXPECT_EQ(a.mem_energy.dynamic_j, b.mem_energy.dynamic_j);
-  EXPECT_EQ(a.disk_energy.standby_base_j, b.disk_energy.standby_base_j);
-  EXPECT_EQ(a.disk_energy.static_j, b.disk_energy.static_j);
-  EXPECT_EQ(a.disk_energy.transition_j, b.disk_energy.transition_j);
-  EXPECT_EQ(a.disk_energy.dynamic_j, b.disk_energy.dynamic_j);
-  EXPECT_EQ(a.cache_accesses, b.cache_accesses);
-  EXPECT_EQ(a.disk_accesses, b.disk_accesses);
-  EXPECT_EQ(a.disk_writes, b.disk_writes);
-  EXPECT_EQ(a.readahead_fetches, b.readahead_fetches);
-  EXPECT_EQ(a.disk_shutdowns, b.disk_shutdowns);
-  EXPECT_EQ(a.spin_ups, b.spin_ups);
-  EXPECT_EQ(a.disk_busy_s, b.disk_busy_s);
-  EXPECT_EQ(a.spindle_count, b.spindle_count);
-  EXPECT_EQ(a.total_latency_s, b.total_latency_s);
-  EXPECT_EQ(a.long_latency_count, b.long_latency_count);
-  EXPECT_EQ(a.reliability.spinup_retries, b.reliability.spinup_retries);
-  EXPECT_EQ(a.reliability.retry_delay_s, b.reliability.retry_delay_s);
-  EXPECT_EQ(a.reliability.degraded_spindles, b.reliability.degraded_spindles);
-  EXPECT_EQ(a.reliability.degraded_time_s, b.reliability.degraded_time_s);
-  EXPECT_EQ(a.reliability.rerouted_requests, b.reliability.rerouted_requests);
-  EXPECT_EQ(a.reliability.manager_fallbacks, b.reliability.manager_fallbacks);
-  EXPECT_EQ(a.reliability.violated_periods, b.reliability.violated_periods);
-  EXPECT_EQ(a.reliability.guard_backoffs, b.reliability.guard_backoffs);
-  ASSERT_EQ(a.periods.size(), b.periods.size());
-  for (std::size_t p = 0; p < a.periods.size(); ++p) {
-    EXPECT_EQ(a.periods[p].start_s, b.periods[p].start_s);
-    EXPECT_EQ(a.periods[p].end_s, b.periods[p].end_s);
-    EXPECT_EQ(a.periods[p].cache_accesses, b.periods[p].cache_accesses);
-    EXPECT_EQ(a.periods[p].disk_accesses, b.periods[p].disk_accesses);
-    EXPECT_EQ(a.periods[p].mean_idle_s, b.periods[p].mean_idle_s);
-    EXPECT_EQ(a.periods[p].memory_units, b.periods[p].memory_units);
-    EXPECT_EQ(a.periods[p].timeout_s, b.periods[p].timeout_s);
-    EXPECT_EQ(a.periods[p].busy_s, b.periods[p].busy_s);
-    EXPECT_EQ(a.periods[p].delayed_requests, b.periods[p].delayed_requests);
-  }
-}
-
 std::vector<SweepPoint> sweep_with_threads(
     const char* threads, const std::vector<SweepWorkload>& points_in,
-    const EngineConfig& engine) {
+    const EngineConfig& engine,
+    const std::vector<PolicySpec>& roster = six_policy_roster()) {
   const char* old = std::getenv("JPM_THREADS");
   const std::string saved = old ? old : "";
   const bool had_old = old != nullptr;
   ::setenv("JPM_THREADS", threads, 1);
-  auto points = run_sweep(points_in, six_policy_roster(), engine);
+  auto points = run_sweep(points_in, roster, engine);
   if (had_old) {
     ::setenv("JPM_THREADS", saved.c_str(), 1);
   } else {
@@ -174,6 +156,25 @@ TEST(SweepDeterminismTest, EightThreadsMatchSerialBitForBit) {
   const auto serial = sweep_with_threads("1");
   const auto parallel = sweep_with_threads("8");
   expect_points_bit_identical(serial, parallel);
+
+  // The paper roster runs as 7 trajectory groups per point; every method's
+  // outcome must also equal its own solo run.
+  const auto roster = scaled_paper_roster();
+  ASSERT_EQ(trajectory_groups(roster, gib(1)).size(), 7u);
+  const auto workloads = three_point_sweep();
+  const auto paper_serial =
+      sweep_with_threads("1", workloads, sweep_engine(), roster);
+  const auto paper_parallel =
+      sweep_with_threads("8", workloads, sweep_engine(), roster);
+  expect_points_bit_identical(paper_serial, paper_parallel);
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const auto trace = workload::synthesize_trace(workloads[i].workload);
+    for (std::size_t j = 0; j < roster.size(); ++j) {
+      SCOPED_TRACE(workloads[i].label + "/" + roster[j].name);
+      expect_bit_identical(paper_parallel[i].outcomes[j].metrics,
+                           run_simulation(trace, roster[j], sweep_engine()));
+    }
+  }
 }
 
 TEST(SweepDeterminismTest, FaultInjectedSweepIsThreadCountInvariant) {
