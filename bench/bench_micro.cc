@@ -1,7 +1,8 @@
 // Google-benchmark microbenches for the simulator's hot kernels: LRU cache
 // operations, the stack-distance tracker, the idle-interval sweep,
 // Pareto fitting, trace synthesis throughput, the workload-model build (file
-// set + popularity solve) at scenario shape, single-policy engine replay —
+// set + popularity solve) and popularity draws at scenario shape,
+// single-policy engine replay —
 // the perf baseline for the sweep hot loop — the bank policies' replay at
 // the fig7 16 GB point against a fixed-memory run, the marginal cost of a
 // trajectory-group member there, engine construction with its
@@ -148,6 +149,9 @@ void BM_ParetoFitAndTimeout(benchmark::State& state) {
 }
 BENCHMARK(BM_ParetoFitAndTimeout);
 
+// The model (file set and popularity solve, BM_WorkloadModel) is built once,
+// outside the timed loop, as sweeps share it across points: an iteration
+// times one stream's event generation alone.
 void BM_TraceSynthesis(benchmark::State& state) {
   workload::SynthesizerConfig cfg;
   cfg.dataset_bytes = gib(1);
@@ -155,9 +159,10 @@ void BM_TraceSynthesis(benchmark::State& state) {
   cfg.duration_s = 60.0;
   cfg.page_bytes = 256 * kKiB;
   cfg.seed = 5;
+  const auto model = workload::build_model(cfg);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    workload::TraceGenerator gen(cfg);
+    workload::TraceGenerator gen(cfg, model);
     std::uint64_t n = 0;
     while (gen.next()) ++n;
     benchmark::DoNotOptimize(n);
@@ -190,6 +195,25 @@ void BM_WorkloadModel(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadModel)->Arg(32239)->Arg(128957)->Unit(
     benchmark::kMillisecond);
+
+// One popularity draw, a uniform variate and its CDF inverse, from the
+// models BM_WorkloadModel builds (built once, outside the timed loop).
+// Arg = file count; items = draws.
+void BM_PopularitySample(benchmark::State& state) {
+  const auto files = static_cast<std::size_t>(state.range(0));
+  const workload::WorkloadModel model(workload::WorkloadKey{
+      gib(16), files == 32239 ? 16.0 : 4.0, 0.1, 1});
+  if (model.files().file_count() != files) {
+    state.SkipWithError("file count differs from the scenario shape");
+    return;
+  }
+  Rng rng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.popularity().sample(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PopularitySample)->Arg(32239)->Arg(128957);
 
 // Materializes a trace once and replays it through a single policy's full
 // pipeline per iteration — exactly one unit of run_sweep's fan-out, and the

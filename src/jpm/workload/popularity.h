@@ -6,7 +6,9 @@
 // requests. We realize this with a Zipf(s) weight over a random permutation of
 // files and solve for the exponent s (binary search; concentration is
 // monotone in s) so that the measured hot-byte fraction equals the requested
-// popularity.
+// popularity. Most bisection midpoints are settled from a closed-form
+// estimate with a proven error margin; the rest take the exact float pass
+// (see popularity.cc), so the solve's bits are those of the all-exact one.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,12 @@ class PopularityModel {
 
   // Probability that a request targets file i.
   double probability(std::size_t i) const { return prob_[i]; }
-  // Draws a file index with the modeled distribution (O(log n)).
+  // Draws a file index with the modeled distribution: quantile(rng.uniform()).
   std::size_t sample(Rng& rng) const;
+  // CDF inverse: the first file index whose cumulative probability is >= u,
+  // for u in [0, 1) (std::lower_bound's index over the CDF). A guide table
+  // of bit_ceil(n) entries finds it in O(1) expected steps.
+  std::size_t quantile(double u) const;
 
   // The Zipf exponent the solver converged to.
   double zipf_exponent() const { return exponent_; }
@@ -43,7 +49,10 @@ class PopularityModel {
 
  private:
   std::vector<double> prob_;  // by file index
-  std::vector<double> cdf_;   // cumulative, by file index
+  std::vector<double> cdf_;   // cumulative, by file index; back() is 1.0
+  // guide_[j] = first index whose CDF is >= j / guide_.size(); the size is
+  // a power of two, so u * size and j / size are exact.
+  std::vector<std::uint32_t> guide_;
   double exponent_ = 0.0;
   double achieved_ = 0.0;
 };

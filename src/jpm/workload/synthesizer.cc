@@ -26,13 +26,18 @@ void SynthesizerConfig::validate() const {
   if (!(duration_s > 0.0) || !std::isfinite(duration_s)) {
     bad("duration_s must be positive and finite");
   }
-  if (popularity < 0.0 || popularity > 1.0) {
-    bad("popularity must lie in [0, 1]");
+  if (!(popularity > 0.0) || popularity > 1.0) {
+    bad("popularity must lie in (0, 1]");
   }
   if (!(file_scale > 0.0)) bad("file_scale must be positive");
   if (rate_modulation < 0.0) bad("rate_modulation must be nonnegative");
   if (modulation_period_s < 0.0) {
     bad("modulation_period_s must be nonnegative (0 disables)");
+  }
+  // At 1 the rate reaches 0 at a trough and the arrival gap is infinite;
+  // above 1 it turns negative and arrivals run backward in time.
+  if (modulation_period_s > 0.0 && !(rate_modulation < 1.0)) {
+    bad("rate_modulation must lie below 1 while modulation_period_s > 0");
   }
   if (intra_request_spacing_s < 0.0) {
     bad("intra_request_spacing_s must be nonnegative");

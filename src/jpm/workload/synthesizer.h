@@ -40,7 +40,8 @@ struct SynthesizerConfig {
   std::uint64_t page_bytes = 256 * kKiB;
   double file_scale = 16.0;     // see FileSetConfig::file_scale
   // Sinusoidal rate modulation amplitude (fraction of byte_rate) and period;
-  // 0 disables modulation.
+  // 0 disables modulation. The amplitude stays below 1 while a period is
+  // set, so the rate never reaches 0 at a trough.
   double rate_modulation = 0.2;
   double modulation_period_s = 1800.0;
   // Spacing between consecutive page accesses of one request.
@@ -58,7 +59,8 @@ struct SynthesizerConfig {
   std::uint64_t seed = 1;
 
   // Rejects unusable workload knobs (zero page_bytes/dataset/duration,
-  // probabilities outside [0, 1], negative rates) with a descriptive
+  // popularity outside (0, 1], fractions outside [0, 1], negative rates, a
+  // modulation that reaches rate 0) with a descriptive
   // std::invalid_argument. TraceGenerator calls it on construction.
   void validate() const;
 };

@@ -298,6 +298,17 @@ TEST(SpecValidateTest, MultiSpeedRequiresSingleDisk) {
             "$.roster[0].multi_speed: multi-speed arrays are not modeled");
 }
 
+// Popularity 0 used to pass validation and then trip the popularity
+// solve's internal check at run time.
+TEST(SpecErrorTest, ZeroPopularityNamesTheWorkload) {
+  const Scenario sc = parse_scenario(R"({"name": "zero",
+      "workloads": [{"label": "p0", "workload": {"popularity": 0}}],
+      "roster": [{"name": "Joint", "disk": "joint", "mem": "joint"}]})");
+  EXPECT_EQ(error_of([&] { validate_scenario(sc); }),
+            "$.workloads[0].workload: invalid SynthesizerConfig: popularity "
+            "must lie in (0, 1]");
+}
+
 TEST(SpecErrorTest, LoadScenarioFilePrefixesThePath) {
   const std::string msg = error_of([] {
     load_scenario_file("/nonexistent/jpm_spec_test.json");

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "jpm/util/hash.h"
 #include "jpm/util/rng.h"
+#include "workload/exact_popularity.h"
 
 namespace jpm::workload {
 namespace {
@@ -170,6 +174,164 @@ TEST(PopularityTest, SolveIsBitIdenticalToPinnedValues) {
     }
     EXPECT_EQ(hash.digest(), c.probability_fnv);
   }
+}
+
+// The solve settles most bisection midpoints from a closed-form estimate and
+// must land exactly where deciding every midpoint with a float pass lands.
+// Keys are seeded and spread over the four file scales, data sets from
+// 64 MB up (capped near 40,000 files to keep the all-exact oracle fast),
+// popularity up to 1 (no prefix of the files exceeds it) and down to 1e-12
+// (the hottest file alone does), and a few hot shares besides the paper's.
+// Three more keys are close calls: at some midpoint their float hot mass
+// and the real one straddle hot_share farther apart than the estimate's own
+// error, so only the margin's float-rounding term keeps them exact (found by
+// searching 1,600 seeded keys for ones that move without that term).
+struct SolveKey {
+  std::uint64_t dataset_bytes;
+  double file_scale;
+  double popularity;
+  double hot_share;
+  std::uint64_t seed;
+};
+
+std::vector<SolveKey> seeded_solve_keys() {
+  constexpr double kScales[] = {1.0, 4.0, 16.0, 64.0};
+  constexpr double kHotShares[] = {0.5, 0.75, 0.99};
+  std::vector<SolveKey> keys;
+  Rng rng(20240611);
+  for (int i = 0; i < 104; ++i) {
+    SolveKey k{};
+    k.file_scale = kScales[i % 4];
+    // File count grows as sqrt(data set) / file_scale: 32,239 files at
+    // 16 GB and file scale 16.
+    const double cap = 16.0 * static_cast<double>(gib(1)) *
+                       std::pow(0.075 * k.file_scale, 2.0);
+    const double low = static_cast<double>(mib(64));
+    k.dataset_bytes = static_cast<std::uint64_t>(
+        low * std::pow(cap / low, rng.uniform()));
+    k.popularity = rng.uniform(0.02, 1.0);
+    if (i % 10 == 0) k.popularity = 1.0;
+    if (i % 10 == 1) k.popularity = 1e-12;
+    k.hot_share = i % 7 == 3 ? kHotShares[(i / 7) % 3] : 0.9;
+    k.seed = 1 + rng.uniform_index(1000000);
+    keys.push_back(k);
+  }
+  keys.push_back({86470617, 1.0, 0.24022906293237173, 0.9, 493293});
+  keys.push_back({928969559, 4.0, 0.63706749136529728, 0.9, 549696});
+  keys.push_back({92403631, 1.0, 0.51257351279272012, 0.9, 224181});
+  return keys;
+}
+
+TEST(PopularityTest, SolveMatchesExactBisectionOnSeededKeys) {
+  for (const SolveKey& k : seeded_solve_keys()) {
+    SCOPED_TRACE(testing::Message()
+                 << k.dataset_bytes << " B, file_scale " << k.file_scale
+                 << ", popularity " << k.popularity << ", hot_share "
+                 << k.hot_share << ", seed " << k.seed);
+    const FileSet files(
+        FileSetConfig{k.dataset_bytes, gib(4), k.file_scale, k.seed});
+    ASSERT_LE(files.file_count(), 40000u);
+    const PopularityConfig config{k.popularity, k.hot_share, k.seed};
+    const ExactPopularity exact(files, config);
+    const PopularityModel pop(files, config);
+    if (k.popularity == 1e-12) {
+      ASSERT_EQ(exact.zipf_exponent(), 8.0);  // K* = 1: every midpoint is low
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pop.zipf_exponent()),
+              std::bit_cast<std::uint64_t>(exact.zipf_exponent()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pop.achieved_popularity()),
+              std::bit_cast<std::uint64_t>(exact.achieved_popularity()));
+    std::size_t differing = 0;
+    for (std::size_t f = 0; f < files.file_count(); ++f) {
+      if (std::bit_cast<std::uint64_t>(pop.probability(f)) !=
+          std::bit_cast<std::uint64_t>(exact.probability(f))) {
+        ++differing;
+      }
+    }
+    EXPECT_EQ(differing, 0u);
+  }
+}
+
+// The CDF the model samples from, rebuilt from its probabilities the way the
+// model builds it, with std::lower_bound as the reference inverse.
+std::size_t lower_bound_index(const std::vector<double>& cdf, double u) {
+  return static_cast<std::size_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+// Checks quantile() against lower_bound on 1M seeded draws, through
+// sample(), and at the guide table's edges: 0, every j / 2^b, the double
+// just below each, and the largest uniform draw, 1 - 2^-53.
+void expect_quantile_matches_lower_bound(const FileSet& files,
+                                         const PopularityModel& pop) {
+  const std::size_t n = files.file_count();
+  std::vector<double> cdf(n);
+  double cum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    cum += pop.probability(i);
+    cdf[i] = cum;
+  }
+  cdf.back() = 1.0;
+
+  Rng draws(99), mirror(99);
+  std::size_t differing = 0;
+  for (int k = 0; k < 1000000; ++k) {
+    if (pop.sample(draws) != lower_bound_index(cdf, mirror.uniform())) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u) << "of 1M seeded draws";
+
+  const std::size_t slots = std::bit_ceil(n);
+  std::vector<double> edges = {0.0, 1.0 - 0x1p-53};
+  for (std::size_t j = 1; j < slots; ++j) {
+    const double edge = static_cast<double>(j) / static_cast<double>(slots);
+    edges.push_back(edge);
+    edges.push_back(std::nextafter(edge, 0.0));
+  }
+  differing = 0;
+  for (const double u : edges) {
+    if (pop.quantile(u) != lower_bound_index(cdf, u)) ++differing;
+  }
+  EXPECT_EQ(differing, 0u) << "of " << edges.size() << " guide edges";
+}
+
+TEST(PopularityTest, QuantileMatchesLowerBoundAtScenarioShapes) {
+  const struct {
+    std::uint64_t dataset_bytes;
+    double file_scale;
+    double popularity;
+    std::uint64_t seed;
+  } shapes[] = {
+      {gib(16), 16.0, 0.1, 1},  // the fleet point, 32,239 files
+      {gib(1), 4.0, 0.05, 3},
+      {mib(256), 1.0, 0.6, 7},
+  };
+  for (const auto& s : shapes) {
+    SCOPED_TRACE(testing::Message() << s.dataset_bytes << " B, file_scale "
+                                    << s.file_scale);
+    const FileSet files(
+        FileSetConfig{s.dataset_bytes, gib(4), s.file_scale, s.seed});
+    const PopularityModel pop(files,
+                              PopularityConfig{s.popularity, 0.9, s.seed});
+    expect_quantile_matches_lower_bound(files, pop);
+  }
+}
+
+// At popularity 1 the exponent is ~2^-58, every weight rounds to 1 and,
+// over 2,048 files, every CDF entry is exactly (i + 1) / 2^11: each guide
+// edge j / 2^11 lands on an entry, which lower_bound returns.
+TEST(PopularityTest, QuantileReturnsEntriesEqualToAGuideEdge) {
+  const FileSet files(FileSetConfig{mib(1057), gib(4), 64.0, 1});
+  ASSERT_EQ(files.file_count(), 2048u);
+  const PopularityModel pop(files, PopularityConfig{1.0, 0.9, 1});
+  for (std::size_t i = 0; i < files.file_count(); ++i) {
+    ASSERT_EQ(pop.probability(i), 0x1p-11) << "file " << i;
+  }
+  for (std::size_t j = 1; j < 2048; ++j) {
+    EXPECT_EQ(pop.quantile(static_cast<double>(j) * 0x1p-11), j - 1);
+  }
+  expect_quantile_matches_lower_bound(files, pop);
 }
 
 }  // namespace

@@ -27,6 +27,15 @@ SynthesizerConfig small_cfg() {
 TEST(SynthesizerConfigTest, ValidateAcceptsSaneConfigs) {
   EXPECT_NO_THROW(small_cfg().validate());
   EXPECT_NO_THROW(SynthesizerConfig{}.validate());
+  // A modulated rate byte_rate (1 + a sin) stays positive for a < 1; with
+  // modulation off the amplitude is unused.
+  auto cfg = small_cfg();
+  ASSERT_GT(cfg.modulation_period_s, 0.0);
+  cfg.rate_modulation = 0.99;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.rate_modulation = 1.5;
+  cfg.modulation_period_s = 0.0;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(SynthesizerConfigTest, ValidateNamesTheOffendingKnob) {
@@ -56,6 +65,9 @@ TEST(SynthesizerConfigTest, ValidateNamesTheOffendingKnob) {
   cfg.popularity = 1.5;
   expect_rejected(cfg, "popularity");
   cfg = small_cfg();
+  cfg.popularity = 0.0;  // no Zipf exponent puts 90% of requests on no bytes
+  expect_rejected(cfg, "popularity must lie in (0, 1]");
+  cfg = small_cfg();
   cfg.file_scale = 0.0;
   expect_rejected(cfg, "file_scale");
   cfg = small_cfg();
@@ -64,6 +76,13 @@ TEST(SynthesizerConfigTest, ValidateNamesTheOffendingKnob) {
   cfg = small_cfg();
   cfg.write_fraction = 2.0;
   expect_rejected(cfg, "write_fraction");
+  // At a = 1 the modulated rate reaches 0 at a trough, and an infinite
+  // arrival gap ends the stream early; above 1 arrivals run backward.
+  cfg = small_cfg();
+  cfg.rate_modulation = 1.0;
+  expect_rejected(cfg, "rate_modulation");
+  cfg.rate_modulation = 1.5;
+  expect_rejected(cfg, "rate_modulation");
 }
 
 TEST(SynthesizerConfigTest, GeneratorRejectsInvalidConfig) {
